@@ -1,18 +1,19 @@
 """Perf-regression harness for the single-run hot path.
 
 Times the canonical single-run cases — the Section-6 64-node runs at the
-ground-truth quantum (1 us) and the Figure-6 8-node adaptive matrix —
-through the vectorized driver, the scalar reference driver, and
-(optionally) an older git checkout, and writes the results in the shared
-``repro-bench/1`` schema (see :mod:`benchlib`).
+ground-truth quantum (1 us), the Figure-6 8-node adaptive matrix and a
+sparse 256-node service run — through the cluster stepper and (optionally) an older git checkout, and
+writes the results in the shared ``repro-bench/1`` schema (see
+:mod:`benchlib`).
 
-Every timing runs in a fresh subprocess so scalar/vectorized/baseline
-measurements are symmetric (same interpreter warm-up, no shared caches),
-and the modes are interleaved round by round so machine noise hits all of
-them equally.  Before timing, each case is executed once through both
-drivers **in-process** and the two :class:`RunResult` objects are
-asserted equal — the harness refuses to report a speedup for a case whose
-fast path does not reproduce the reference bit-for-bit.
+Every timing runs in a fresh subprocess so current/baseline measurements
+are symmetric (same interpreter warm-up, no shared caches), and the modes
+are interleaved round by round so machine noise hits all of them
+equally.  Before timing, each case is executed once **in-process**
+through the stepper and through the scalar reference stepper of
+``tests/reference_stepper.py``, and the two :class:`RunResult` objects
+are asserted equal — the harness refuses to report numbers for a case
+whose stepper does not reproduce the reference bit-for-bit.
 
 Usage::
 
@@ -47,7 +48,7 @@ DEFAULT_ROUNDS = 3
 DEFAULT_MAX_REGRESSION = 0.30
 
 #: Minimum wall-clock speedup a sharded case must show over the serial
-#: vectorized path — enforced only when the host has at least as many
+#: stepper — enforced only when the host has at least as many
 #: CPUs as the case has shards (a 1-CPU host serializes the workers, so
 #: the committed reference numbers may legitimately show < 1x there; the
 #: report records the recording host's cpu_count for exactly this reason).
@@ -66,13 +67,10 @@ def _run_one(case: str, mode: str, backend: str) -> None:
     if case in sharded:
         runs, shards = sharded[case]
         stats = benchlib.time_case(
-            runs, vectorized=True, shards=shards if mode == "shard" else 1
+            runs, shards=shards if mode == "shard" else 1
         )
     else:
-        runs = all_cases()[case]
-        stats = benchlib.time_case(
-            runs, vectorized=(mode == "vec"), backend=backend
-        )
+        stats = benchlib.time_case(all_cases()[case], backend=backend)
     print(json.dumps(stats))
 
 
@@ -105,24 +103,28 @@ def _subprocess_time(
 
 
 def _verify_identical(case: str, runs, backend: str = "python") -> dict:
-    """Run the case in-process; assert it equals the scalar python
-    reference.  For ``backend="native"`` this is the acceptance check
-    that the compiled core reproduces the reference bit-for-bit before
-    any native timing is reported."""
+    """Run the case in-process; assert it equals the scalar reference
+    stepper on the python core.  For ``backend="native"`` this is also
+    the acceptance check that the compiled core reproduces the reference
+    bit-for-bit before any native timing is reported."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.reference_stepper import ReferenceSimulator
+
     events = 0
     quanta = 0
     for factory in runs:
         workload, size, policy = factory()
-        scalar_result, _, _ = benchlib.run_once(
-            workload, size, policy, vectorized=False
+        reference, _, _ = benchlib.run_once(
+            workload, size, policy, simulator=ReferenceSimulator
         )
         workload, size, policy = factory()
-        vec_result, perf, _ = benchlib.run_once(
-            workload, size, policy, vectorized=True, backend=backend
+        result, perf, _ = benchlib.run_once(
+            workload, size, policy, backend=backend
         )
-        assert scalar_result == vec_result, (
-            f"{case}: vectorized ({backend}) RunResult differs from the "
-            f"scalar python reference"
+        assert reference == result, (
+            f"{case}: stepper ({backend}) RunResult differs from the "
+            f"scalar reference stepper (python)"
         )
         if perf is not None:
             events += perf.events
@@ -136,12 +138,10 @@ def _verify_sharded(case: str, runs, shards: int) -> dict:
     quanta = 0
     for factory in runs:
         workload, size, policy = factory()
-        serial_result, _, _ = benchlib.run_once(
-            workload, size, policy, vectorized=True
-        )
+        serial_result, _, _ = benchlib.run_once(workload, size, policy)
         workload, size, policy = factory()
         shard_result, perf, _ = benchlib.run_once(
-            workload, size, policy, vectorized=True, shards=shards
+            workload, size, policy, shards=shards
         )
         assert serial_result == shard_result, (
             f"{case}: sharded RunResult differs from the serial reference"
@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                         default=DEFAULT_MAX_REGRESSION,
                         help="allowed fractional events/sec drop for --check")
     parser.add_argument("--run-one", default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--mode", default="vec", help=argparse.SUPPRESS)
+    parser.add_argument("--mode", default="serial", help=argparse.SUPPRESS)
     parser.add_argument("--backend", default="python", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -256,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
             for backend in backends:
                 case_name = name if backend == "python" else f"{name}_native"
                 print(
-                    f"[{case_name}] verifying vectorized ({backend}) == "
-                    f"scalar python ...",
+                    f"[{case_name}] verifying stepper ({backend}) == "
+                    f"scalar reference ...",
                     flush=True,
                 )
                 counts = _verify_identical(name, runs, backend)
@@ -265,15 +265,14 @@ def main(argv: list[str] | None = None) -> int:
                 best: dict[str, float] = {}
                 # The old-tree baseline predates the backend knob; only
                 # the python rows time against it.
-                modes = ["scalar", "vec"] + (
+                modes = ["serial"] + (
                     ["baseline"] if baseline_src and backend == "python" else []
                 )
                 for round_index in range(args.rounds):
                     for mode in modes:
                         src = baseline_src if mode == "baseline" else None
-                        sub_mode = "scalar" if mode == "baseline" else mode
                         wall = _subprocess_time(
-                            name, sub_mode, src, backend=backend
+                            name, "serial", src, backend=backend
                         )["wall_s"]
                         best[mode] = min(best.get(mode, wall), wall)
                         print(
@@ -282,22 +281,20 @@ def main(argv: list[str] | None = None) -> int:
                             flush=True,
                         )
 
-                vec = best["vec"]
+                wall = best["serial"]
                 entry = {
                     "backend": backend,
-                    "wall_s": round(vec, 3),
-                    "scalar_wall_s": round(best["scalar"], 3),
+                    "wall_s": round(wall, 3),
                     "baseline_wall_s": (
                         round(best["baseline"], 3) if "baseline" in best else None
                     ),
                     "workers": 1,
                     "events": counts["events"],
                     "quanta": counts["quanta"],
-                    "events_per_sec": round(counts["events"] / vec, 1),
-                    "quanta_per_sec": round(counts["quanta"] / vec, 1),
-                    "speedup_vs_scalar": round(best["scalar"] / vec, 2),
+                    "events_per_sec": round(counts["events"] / wall, 1),
+                    "quanta_per_sec": round(counts["quanta"] / wall, 1),
                     "speedup_vs_baseline": (
-                        round(best["baseline"] / vec, 2)
+                        round(best["baseline"] / wall, 2)
                         if "baseline" in best
                         else None
                     ),
@@ -305,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
                 }
                 report_cases[case_name] = entry
 
-    # Sharded cases: timed against the serial vectorized path (never the
+    # Sharded cases: timed against the serial stepper (never the
     # baseline tree — it predates repro.shard).  The speedup gate only
     # applies when the host can actually run the workers concurrently.
     cpu_count = os.cpu_count() or 1
@@ -316,8 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         best = {}
         for round_index in range(args.rounds):
             for mode in ("serial", "shard"):
-                sub_mode = "vec" if mode == "serial" else "shard"
-                wall = _subprocess_time(name, sub_mode, None)["wall_s"]
+                wall = _subprocess_time(name, mode, None)["wall_s"]
                 best[mode] = min(best.get(mode, wall), wall)
                 print(
                     f"[{name}] round {round_index + 1} {mode:8s}"
@@ -370,21 +366,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     benchlib.write_report(out, meta, report_cases)
 
+    def column(value: float | None, unit: str) -> str:
+        return f"{value:>7.3f}{unit}" if value is not None else "       -"
+
     width = max(len(name) for name in report_cases)
     print(f"\n{'case':<{width}}  {'wall':>8} {'serial':>8} {'base':>8} "
-          f"{'speedup':>8} {'vs base':>8} {'workers':>7} {'events/s':>12}")
+          f"{'vs ser.':>8} {'vs base':>8} {'workers':>7} {'events/s':>12}")
     for name, entry in report_cases.items():
-        # Serial-vs-vectorized cases compare against the scalar reference;
-        # sharded cases against the serial vectorized path.
-        serial = entry.get("scalar_wall_s", entry.get("serial_wall_s"))
-        speedup = entry.get("speedup_vs_scalar", entry.get("speedup_vs_serial"))
-        base = entry.get("baseline_wall_s")
-        vs_base = entry.get("speedup_vs_baseline")
+        # Sharded cases compare against the serial stepper; any case
+        # against the baseline tree when one was timed.
         print(
-            f"{name:<{width}}  {entry['wall_s']:>7.3f}s {serial:>7.3f}s "
-            f"{(f'{base:>7.3f}s' if base is not None else '       -')} "
-            f"{speedup:>7.2f}x "
-            f"{(f'{vs_base:>7.2f}x' if vs_base is not None else '       -')} "
+            f"{name:<{width}}  {entry['wall_s']:>7.3f}s "
+            f"{column(entry.get('serial_wall_s'), 's')} "
+            f"{column(entry.get('baseline_wall_s'), 's')} "
+            f"{column(entry.get('speedup_vs_serial'), 'x')} "
+            f"{column(entry.get('speedup_vs_baseline'), 'x')} "
             f"{entry['workers']:>7} "
             f"{entry['events_per_sec']:>12,.0f}"
         )

@@ -17,8 +17,9 @@ All timings are best-of-``rounds`` (small containers are noisy; the
 minimum is the stable statistic).
 
 The module also hosts the case registry for ``bench_runtime.py``: the
-single-run hot-path cases (the Section-6 64-node ground-truth runs and
-the Figure-6 8-node adaptive matrix), each a list of simulator executions
+single-run hot-path cases (the Section-6 64-node ground-truth runs, the
+Figure-6 8-node adaptive matrix and a sparse 256-node service run), each
+a list of simulator executions
 built from public APIs only — so the same case definitions can be timed
 against an older checkout of the simulator (see ``REPRO_BENCH_SRC``).
 """
@@ -89,10 +90,10 @@ def run_once(
     size: int,
     policy: Any,
     *,
-    vectorized: bool,
     seed: int = BENCH_SEED,
     shards: int = 1,
     backend: str = "python",
+    simulator: Optional[type] = None,
 ) -> tuple[Any, Any, float]:
     """Build and run one cluster simulation; returns (result, perf, wall_s).
 
@@ -104,6 +105,8 @@ def run_once(
     defaults to the pure-python engine core so timings never depend on
     whether the compiled module happens to be importable; a benchmark
     labelled "native" raises rather than silently timing python.
+    ``simulator`` replaces :class:`ClusterSimulator` (e.g. with the
+    reference stepper the identity checks compare against).
     """
 
     def build() -> Any:
@@ -111,20 +114,14 @@ def run_once(
         nodes = [SimulatedNode(i, app) for i, app in enumerate(apps)]
         controller = NetworkController(size, PAPER_NETWORK(size))
         try:
-            config = ClusterConfig(
-                seed=seed, vectorized=vectorized, backend=backend
-            )
+            config = ClusterConfig(seed=seed, backend=backend)
         except TypeError:
             # Older checkouts (baseline timing) predate the ``backend``
-            # and/or ``vectorized`` knobs; degrade one knob at a time so
-            # a pre-backend tree still times its vectorized path.
+            # knob; they time their default path.
             if backend != "python":
                 raise
-            try:
-                config = ClusterConfig(seed=seed, vectorized=vectorized)
-            except TypeError:
-                config = ClusterConfig(seed=seed)
-        return ClusterSimulator(nodes, controller, policy, config)
+            config = ClusterConfig(seed=seed)
+        return (simulator or ClusterSimulator)(nodes, controller, policy, config)
 
     if shards > 1:
         from repro.shard import run_sharded
@@ -193,9 +190,27 @@ def _f6_adaptive_runs() -> list[RunFactory]:
     return runs
 
 
+def _wide_service_runs() -> list[RunFactory]:
+    """A sparse 256-node service run at ``Q = T``: about four nodes step
+    per window, so costing the event-free nodes dominates the driver.
+    This is the wide side of the stepper's node-count switch (numpy
+    costing from 96 nodes up); the 8-node cases are the narrow side."""
+    from repro.service import ArrivalProfile, ServiceWorkload
+
+    def run() -> tuple[Any, int, Any]:
+        profile = ArrivalProfile(
+            rate_per_sec=20_000.0, num_requests=500, diurnal_amplitude=0.3
+        )
+        truth = FixedQuantumPolicy(PAPER_NETWORK(256).min_latency())
+        return ServiceWorkload(profile=profile, seed=BENCH_SEED), 256, truth
+
+    return [run]
+
+
 def full_cases() -> dict[str, list[RunFactory]]:
     cases = _sec6_runs()
     cases["f6_8node_adaptive"] = _f6_adaptive_runs()
+    cases["svc256_gt"] = _wide_service_runs()
     return cases
 
 
@@ -240,7 +255,6 @@ def sharded_cases(quick: bool) -> dict[str, tuple[list[RunFactory], int]]:
 def time_case(
     runs: list[RunFactory],
     *,
-    vectorized: bool,
     shards: int = 1,
     backend: str = "python",
 ) -> dict[str, Any]:
@@ -251,8 +265,7 @@ def time_case(
     for factory in runs:
         workload, size, policy = factory()
         _, perf, run_wall = run_once(
-            workload, size, policy,
-            vectorized=vectorized, shards=shards, backend=backend,
+            workload, size, policy, shards=shards, backend=backend
         )
         wall += run_wall
         if perf is not None:

@@ -30,9 +30,10 @@ What is captured, and why (see DESIGN.md for the full contract):
   yields; generator-internal state (loop counters, MPI bookkeeping,
   app-private RNGs) is thereby rebuilt exactly.
 * **Randomness** — every named RNG stream's ``bit_generator.state``,
-  each host model's unconsumed jitter buffer (normalized across the
-  scalar/vectorized prefetch layouts, which is what makes snapshots
-  restore onto either driver), and the global packet-id counter.
+  each host model's unconsumed jitter draws (the stepper's prefetched
+  rows folded back in front of the model's own buffer, so a snapshot
+  does not depend on where the prefetch block boundaries fell), and the
+  global packet-id counter.
 * **Controller and observers** — routing stats, the held-frame heap,
   fault-injector counters, and the trace collector's ring, tallies and
   JSONL byte offset (the stream continues byte-identically).  Sanitizer
@@ -54,7 +55,6 @@ from repro.engine.process import ProcessExit
 from repro.engine.units import SimTime
 from repro.network.controller import DeliveryKind
 from repro.network.packet import packet_id_position, set_packet_ids
-from repro.node.hostmodel import BUSY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import ClusterSimulator
@@ -82,13 +82,13 @@ class SimSnapshot:
 def _remaining_jitter(sim: "ClusterSimulator") -> list[np.ndarray]:
     """Each node's unconsumed jitter draws, in consumption order.
 
-    The vectorized feed prefetches *out of* the per-model buffers, so
-    the draws still sitting in the feed's matrix precede the draws still
-    sitting in a model's private buffer.  Folding both into one array
-    (feed rows first) makes the snapshot independent of which stepper
-    produced it: restore puts the remainder back as the model's buffer
-    with a fresh (empty) feed, and either driver then consumes the
-    identical sequence.
+    The stepper's jitter feed prefetches *out of* the per-model buffers,
+    so the draws still sitting in the feed's matrix precede the draws
+    still sitting in a model's private buffer.  Folding both into one
+    array (feed rows first) makes the snapshot independent of the feed's
+    block position: restore puts the remainder back as the model's buffer
+    with a fresh (empty) feed, and the resumed run — or anything drawing
+    per node through ``slowdown_pair`` — consumes the identical sequence.
     """
     feed = sim._feed
     matrix = feed._matrix[feed._cursor :]
@@ -276,9 +276,10 @@ def restore_snapshot(sim: "ClusterSimulator", snapshot: SimSnapshot) -> None:
     if sim.injector is not None and state["injector_stats"] is not None:
         sim.injector.stats = state["injector_stats"]
 
-    # 6. Driver-internal derived state.
+    # 6. Driver counters.  The stepper keeps no other per-node state
+    #    across barriers: run() rebuilds what it needs on entry from each
+    #    node's activity (restored in step 2) and next event time.
     sim.perf = state["perf"]
-    sim._busy_mask = np.array([node.activity == BUSY for node in sim.nodes])
 
     # 7. Sanitizer tallies are synthesized from the restored stats so a
     #    checked resume reconciles at run end exactly like an unbroken

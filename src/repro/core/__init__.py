@@ -27,12 +27,10 @@ from repro.core.baselines import (
     optimistic_estimate,
 )
 from repro.core.cluster import (
-    AUTO_VECTORIZE_MIN_NODES,
     ClusterConfig,
     ClusterSimulator,
     DeadlockError,
     RunResult,
-    resolve_vectorized,
 )
 from repro.core.quantum import (
     AdaptiveQuantumPolicy,
@@ -58,8 +56,6 @@ __all__ = [
     "ClusterConfig",
     "RunResult",
     "DeadlockError",
-    "AUTO_VECTORIZE_MIN_NODES",
-    "resolve_vectorized",
     "BucketTimeline",
     "HostCostBreakdown",
     "free_running",

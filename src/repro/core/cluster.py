@@ -65,34 +65,16 @@ class DeadlockError(RuntimeError):
     """All applications are blocked and no packet can ever wake them."""
 
 
-#: Cluster size below which ``vectorized="auto"`` picks the scalar stepper.
-#: The vectorized driver's per-window numpy setup (slowdown rows, rate
-#: arrays) is a fixed cost amortized over the nodes stepped per window; on
-#: small clusters the event density per window is too low to pay for it
-#: (measured crossover: the scalar path wins by up to ~2x at 2-4 nodes,
-#: the vectorized path wins from 8 nodes up on every paper workload).
-AUTO_VECTORIZE_MIN_NODES = 8
-
-
-def resolve_vectorized(vectorized: bool | str, num_nodes: int) -> bool:
-    """Resolve a ``ClusterConfig.vectorized`` setting for a cluster size.
-
-    ``"auto"`` picks the scalar stepper below
-    :data:`AUTO_VECTORIZE_MIN_NODES` and the vectorized one otherwise;
-    both drivers are bit-identical, so the choice is purely about speed.
-    """
-    if isinstance(vectorized, bool):
-        return vectorized
-    if vectorized == "auto":
-        return num_nodes >= AUTO_VECTORIZE_MIN_NODES
-    raise ValueError(
-        f"vectorized must be True, False, or 'auto', got {vectorized!r}"
-    )
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Driver options.
+
+    There is one stepper and no knob to pick another: each event quantum
+    draws one jitter row, builds a node's clock only when the window
+    first touches it (event-free nodes are costed arithmetically), and
+    runs as a *drain* window when the run allows it (``Q <= T``, no trace
+    collector, no fault injector) or as a host-time interleaved window
+    otherwise.  Both window modes are bit-identical.
 
     Attributes:
         seed: root seed for every stochastic component.
@@ -106,16 +88,6 @@ class ClusterConfig:
             before the accelerator engages (below this the event path is
             just as fast).
         chunk: maximum quanta processed per vectorised fast-forward batch.
-        vectorized: use the vectorized stepper — per-quantum slowdowns are
-            drawn and combined across all nodes at once (numpy), clocks of
-            event-free nodes are advanced arithmetically instead of being
-            reset one by one (the subset fast-forward), and window events
-            are drained with run-length heap elision.  Bit-identical to
-            the scalar reference path (``vectorized=False``), which is
-            kept for differential testing and benchmarking.  The default
-            ``"auto"`` picks per cluster size: scalar below
-            :data:`AUTO_VECTORIZE_MIN_NODES` nodes (where the per-window
-            numpy setup costs more than it saves), vectorized otherwise.
         sampling: if set, node simulators follow this detailed/functional
             sampling schedule (the paper's future-work combination).
         check: run the causality sanitizer (None defers to ``REPRO_CHECK``
@@ -159,7 +131,6 @@ class ClusterConfig:
     fast_forward: bool = True
     fast_forward_min_quanta: int = 4
     chunk: int = 1 << 16
-    vectorized: bool | str = "auto"
     sampling: Optional[SamplingSchedule] = None
     check: Optional[bool] = None
     faults: Optional[FaultPlan] = None
@@ -236,8 +207,8 @@ class RunResult:
 class PerfCounters:
     """Hot-path instrumentation of one run (driver-level, not part of
     :class:`RunResult` — the counters describe *how* the driver stepped,
-    which differs between the scalar and vectorized paths, while the
-    results themselves are bit-identical).
+    e.g. which window mode it took, while the results themselves do not
+    depend on it).
     """
 
     #: Quanta processed event-by-event (windows).
@@ -255,36 +226,68 @@ class PerfCounters:
     skipped_node_quanta: int = 0
     #: Windows in which at least one node was skipped arithmetically.
     subset_windows: int = 0
+    #: Windows stepped as drain windows (``Q <= T``, untraced, unfaulted);
+    #: the other ``event_quanta`` were interleaved in host-time order.
+    drain_windows: int = 0
+
+
+#: From this many nodes up, a window costs its event-free nodes with a few
+#: numpy calls instead of a plain-float loop.  The loop's cost grows with
+#: the node count and the numpy calls' cost barely does; on a 2-CPU x86
+#: host the two cross between 64 and 96 nodes (DESIGN.md §3).
+_ARRAY_COST_MIN_NODES = 96
+
+
+def _slowdowns(
+    jitter: Any, factor: Any, busy_base: Any, idle_base: float, stall: Any
+) -> tuple[Any, Any]:
+    """One window's ``(busy, idle)`` slowdowns of a node, or of every node.
+
+    The same operands in the same order as
+    :meth:`~repro.node.hostmodel.HostExecutionModel.slowdown_pair` plus
+    host-stall scaling: ``tmp = jitter * node_factor``, ``base * tmp``,
+    then times the stall factor (``None`` without stalls; multiplying by
+    an unstalled node's ``1.0`` is exact).  Plain floats and numpy arrays
+    give the identical doubles, element by element.
+    """
+    tmp = jitter * factor
+    busy = busy_base * tmp
+    idle = idle_base * tmp
+    if stall is not None:
+        busy = busy * stall
+        idle = idle * stall
+    return busy, idle
 
 
 class _JitterFeed:
     """Row-major prefetch of per-quantum jitter draws across all nodes.
 
-    The vectorized stepper consumes one jitter draw per node per quantum —
-    exactly like the scalar path — but wants them as a ``(N,)`` row (event
-    windows) or ``(count, N)`` matrix (fast-forward spans).  The feed pulls
-    blocks from each node's private stream via
+    The stepper consumes one jitter draw per node per quantum, as a row
+    (event windows) or a ``(N, count)`` block (fast-forward spans).  The
+    feed pulls blocks from each node's private stream via
     :meth:`~repro.node.hostmodel.HostExecutionModel.take_jitter`, so draw
-    *i* of node *n* is the same number the scalar path would have drawn for
-    node *n*'s *i*-th quantum: batching changes only the access pattern,
-    never the values.
+    *i* of node *n* is the same number per-quantum
+    :meth:`~repro.node.hostmodel.HostExecutionModel.slowdown_pair` calls
+    would have drawn for node *n*'s *i*-th quantum: batching changes only
+    the access pattern, never the values.
     """
 
     _BLOCK = 256
 
-    __slots__ = ("_models", "_matrix", "_cursor", "_ones_row")
+    __slots__ = ("_models", "_matrix", "_cursor", "_ones_row", "_ones_list")
 
     def __init__(self, models: list[HostExecutionModel]) -> None:
         self._models = models
         self._matrix = np.empty((0, len(models)))
         self._cursor = 0
-        # With zero jitter sigma the scalar path consumes no draws; the
+        # With zero jitter sigma the per-call draws consume nothing; the
         # feed must not either.
         self._ones_row = (
             np.ones(len(models))
             if models[0].params.jitter_sigma == 0
             else None
         )
+        self._ones_list = [1.0] * len(models)
 
     def row(self) -> np.ndarray:
         """The next per-node draw for one quantum, shape ``(N,)``."""
@@ -295,6 +298,22 @@ class _JitterFeed:
             self._matrix = self._fetch(self._BLOCK)
             self._cursor = 0
         row = self._matrix[self._cursor]
+        self._cursor += 1
+        return row
+
+    def row_list(self) -> list[float]:
+        """:meth:`row` as plain floats (the caller must not mutate it).
+
+        Converts only this one row: fast-forward spans consume the rest
+        of a prefetched block, so converting the whole block up front
+        would be paid again after every span.
+        """
+        if self._ones_row is not None:
+            return self._ones_list
+        if self._cursor >= len(self._matrix):
+            self._matrix = self._fetch(self._BLOCK)
+            self._cursor = 0
+        row: list[float] = self._matrix[self._cursor].tolist()
         self._cursor += 1
         return row
 
@@ -476,17 +495,15 @@ class ClusterSimulator:
         self._in_window = False
         self._dirty: list[int] = []
         #: Hot-path instrumentation; purely observational (never part of
-        #: :class:`RunResult`, so scalar and vectorized results compare
-        #: equal field-for-field).
+        #: :class:`RunResult`).
         self.perf = PerfCounters()
-        self._vectorized = resolve_vectorized(
-            self.config.vectorized, len(nodes)
-        )
         self._sampling = self.config.sampling is not None
-        # Vectorized-stepper state.  Per-quantum slowdowns live in numpy
-        # arrays (plus plain-float lists for scalar access); a node's
-        # _NodeClock is materialized from them lazily, the first time the
-        # window actually needs it — event-free nodes never pay for one.
+        self._stalled = self.injector is not None and bool(
+            self.injector.plan.stalls
+        )
+        # Per-quantum slowdowns are plain floats: one jitter row per window,
+        # combined per node only when the window first touches the node
+        # (:meth:`_materialize`) — event-free nodes never get a clock.
         self._feed = _JitterFeed(self.host_models)
         #: Cached bound methods: the run loop peeks every node's queue
         #: between quanta, and the attribute chain is measurable there.
@@ -498,6 +515,8 @@ class ClusterSimulator:
         #: Non-None while a drain window is collecting emissions; see
         #: :meth:`_run_window_drain`.
         self._drain_pending: Optional[list[tuple[float, int, int, Packet]]] = None
+        # numpy copies of the per-node constants for the fast-forward
+        # accelerator's (N, count) blocks.
         self._node_factors = np.array(
             [model.node_factor for model in self.host_models]
         )
@@ -507,14 +526,23 @@ class ClusterSimulator:
         self._idle_bases = np.full(
             len(nodes), self.config.host_params.idle_slowdown
         )
-        self._busy_mask = np.array([node.activity == BUSY for node in nodes])
+        self._factors: list[float] = self._node_factors.tolist()
+        self._idle_base = self.config.host_params.idle_slowdown
         self._epoch = 0
         self._epochs = [0] * len(nodes)
         self._touched: list[int] = []
-        self._q_busy_rates: list[float] = []
-        self._q_idle_rates: list[float] = []
-        self._q_busy_rates_arr = np.empty(0)
-        self._q_idle_rates_arr = np.empty(0)
+        # This window's inputs to a node's slowdowns: jitter row, busy
+        # bases (they vary per window only under sampling) and host-stall
+        # factors (None without stalls).
+        self._q_jitter: list[float] = []
+        self._q_busy_bases: list[float] = self._busy_bases.tolist()
+        self._q_stalls: Optional[list[float]] = None
+        # Wide clusters only (see ``_ARRAY_COST_MIN_NODES``): this window's
+        # jitter row as an array, and which nodes are busy at its start.
+        # run() builds the mask from ``node.activity`` on entry, so a
+        # restored snapshot needs no copy of it.
+        self._q_row: Optional[np.ndarray] = None
+        self._busy_mask: Optional[np.ndarray] = None
 
     def _validate_faults(self, plan: FaultPlan) -> FaultPlan:
         """Reject fault plans this cluster cannot execute to completion."""
@@ -550,10 +578,9 @@ class ClusterSimulator:
         return self._window
 
     def node_position_at(self, node: int, host_time: float) -> SimTime:
-        if self._vectorized:
-            # The delivery policy asks for destination positions mid-window;
-            # give the destination a real clock if it was event-free so far.
-            self._materialize(node)
+        # The delivery policy asks for destination positions mid-window;
+        # give the destination a real clock if it was event-free so far.
+        self._materialize(node)
         return self._clocks[node].position_at(host_time, self._window)
 
     # ------------------------------------------------------------------ #
@@ -586,18 +613,13 @@ class ClusterSimulator:
     def _on_activity_change(
         self, node: SimulatedNode, sim_time: SimTime, activity: str
     ) -> None:
-        node_id = node.node_id
-        if self._vectorized:
-            # Maintained continuously so the vectorized window setup and
-            # fast-forward read every node's activity without an O(N) scan.
-            self._busy_mask[node_id] = activity == BUSY
         if self._in_window:
             # A node can only flip activity while handling one of its own
             # events, and handling is always preceded by materialization
             # (drain/heap entry or a delivery-position query), so the clock
             # is guaranteed fresh here (invariant covered by the property
-            # tests comparing against the always-reset scalar path).
-            self._clocks[node_id].transition(sim_time, activity)
+            # tests comparing against the eagerly-reset reference stepper).
+            self._clocks[node.node_id].transition(sim_time, activity)
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -613,7 +635,6 @@ class ClusterSimulator:
         collector = self.collector
         num_nodes = len(nodes)
         barrier_cost = config.barrier.overhead(num_nodes)
-        vectorized = self._vectorized
         perf = self.perf
 
         resume = self._resume
@@ -647,21 +668,19 @@ class ClusterSimulator:
         cp_sim = now
 
         # The drain path reorders only *unobserved* work (packet creation
-        # order, hence packet ids, differs from the interleaved paths), so
-        # traced runs keep the interleaved stepper, and faulted runs keep
+        # order, hence packet ids, differs from the interleaved path), so
+        # traced runs keep the interleaved window, and faulted runs keep
         # it too so the injector consumes its verdict stream at the same
         # call sites.  Results are bit-identical either way.
-        drain_ok = vectorized and collector is None and injector is None
+        drain_ok = collector is None and injector is None
         min_latency = self._min_latency
-        if vectorized:
-            peeks = self._peeks
-            # Maintained incrementally: a node's queue only changes when it
-            # is stepped in a window (always in self._touched) or when a
-            # held frame is released to it (updated at the release site) —
-            # fast-forward spans touch no queues at all.
-            times: Optional[list[Optional[SimTime]]] = [peek() for peek in peeks]
-        else:
-            times = None
+        # Every node's next event time, maintained incrementally: a node's
+        # queue only changes when it is stepped in a window (the window
+        # refreshes it) or when a held frame is released to it (updated at
+        # the release site) — fast-forward spans touch no queues at all.
+        times: list[Optional[SimTime]] = [peek() for peek in self._peeks]
+        if num_nodes >= _ARRAY_COST_MIN_NODES:
+            self._busy_mask = np.array([node.activity == BUSY for node in nodes])
 
         while not self._done():
             if supervision is not None:
@@ -671,24 +690,17 @@ class ClusterSimulator:
             if now >= config.sim_time_limit:
                 return self._result(now, host, False, breakdown, quantum_stats, timeline)
 
-            if vectorized:
-                assert times is not None
-                horizon = controller.next_held_time()
-                for t in times:
-                    if t is not None and (horizon is None or t < horizon):
-                        horizon = t
-            else:
-                horizon = self._next_interesting_time()
+            horizon = controller.next_held_time()
+            for t in times:
+                if t is not None and (horizon is None or t < horizon):
+                    horizon = t
             if horizon is None:
                 raise DeadlockError(self._deadlock_report(now))
 
             if config.fast_forward:
                 window = policy.window(q_state)
                 if horizon - now >= config.fast_forward_min_quanta * window:
-                    forward = (
-                        self._fast_forward_vec if vectorized else self._fast_forward
-                    )
-                    now, host, q_state = forward(
+                    now, host, q_state = self._fast_forward(
                         now, host, q_state, min(horizon, config.sim_time_limit),
                         barrier_cost, quantum_stats, breakdown, timeline,
                     )
@@ -702,17 +714,7 @@ class ClusterSimulator:
             if collector is not None:
                 collector.quantum_begin(start, end)
             self._host_window_start = host
-            if vectorized:
-                self._prepare_window_vec(start, end, host)
-            else:
-                for node, clock, model in zip(nodes, self._clocks, self.host_models):
-                    busy_slowdown, idle_slowdown = model.slowdown_pair(start)
-                    if injector is not None:
-                        stall = injector.stall_factor(node.node_id, start, end)
-                        if stall != 1.0:
-                            busy_slowdown *= stall
-                            idle_slowdown *= stall
-                    clock.reset(start, host, busy_slowdown, idle_slowdown, node.activity)
+            self._prepare_window(start, end)
             if injector is not None:
                 injector.on_quantum(start, end)
 
@@ -724,44 +726,32 @@ class ClusterSimulator:
                 for decision in controller.release_due(start, end):
                     dst = decision.packet.dst
                     nodes[dst].deliver(decision.packet, decision.deliver_time)
-                    if times is not None:
-                        times[dst] = nodes[dst].peek_time()
+                    times[dst] = nodes[dst].peek_time()
 
             self._in_window = True
-            drained = False
-            if vectorized:
-                assert times is not None
-                if drain_ok and window <= min_latency:
-                    self._run_window_drain(end, times)
-                    drained = True
-                else:
-                    self._run_window_vec(end, times)
+            if drain_ok and window <= min_latency:
+                self._run_window_drain(end, times)
             else:
-                self._run_window(end)
+                self._run_window(end, times)
             self._in_window = False
 
             perf.event_quanta += 1
-            if vectorized:
-                stepped = len(self._touched)
-                perf.stepped_node_quanta += stepped
-                if stepped < num_nodes:
-                    # Subset fast-forward: the event-free nodes of this
-                    # window were advanced arithmetically.
-                    perf.skipped_node_quanta += num_nodes - stepped
-                    perf.subset_windows += 1
-            else:
-                perf.stepped_node_quanta += num_nodes
+            stepped = len(self._touched)
+            perf.stepped_node_quanta += stepped
+            if stepped < num_nodes:
+                # Subset fast-forward: the event-free nodes of this
+                # window were advanced arithmetically.
+                perf.skipped_node_quanta += num_nodes - stepped
+                perf.subset_windows += 1
 
             np_count = controller.end_quantum()
             if sanitizer is not None:
-                if vectorized:
-                    # The sanitizer audits every clock's segment anchor;
-                    # give event-free nodes their (value-identical) clocks.
-                    self._materialize_all()
+                # The sanitizer audits every clock's segment anchor;
+                # give event-free nodes their (value-identical) clocks.
+                self._materialize_all()
                 sanitizer.on_quantum_end(start, end, np_count)
             if self._done():
-                if vectorized:
-                    self._materialize_all()
+                self._materialize_all()
                 # The run completed inside this quantum: the simulation stops
                 # the moment the last application event is processed, so the
                 # final (partial) quantum costs host time only up to that
@@ -792,10 +782,7 @@ class ClusterSimulator:
                     )
                 now = max(last, start + 1)
                 break
-            if vectorized:
-                node_cost = self._window_cost_vec(start, end, host)
-            else:
-                node_cost = max(clock.finish_host(end) for clock in self._clocks) - host
+            node_cost = self._window_cost(start, end, host)
             host += node_cost + barrier_cost
             breakdown.add(node_cost, barrier_cost)
             quantum_stats.record(window)
@@ -804,8 +791,7 @@ class ClusterSimulator:
             next_state = policy.next(q_state, np_count)
             if collector is not None:
                 if collector.config.barriers:
-                    if vectorized:
-                        self._materialize_all()
+                    self._materialize_all()
                     finishes = [clock.finish_host(end) for clock in self._clocks]
                     slowest = max(finishes)
                     for node_id, finish in enumerate(finishes):
@@ -822,14 +808,6 @@ class ClusterSimulator:
                     node_cost, barrier_cost,
                 )
             q_state = next_state
-            if vectorized and not drained:
-                # Drain windows refresh ``times`` in place; interleaved
-                # windows re-peek every stepped node here.  Materialized-
-                # but-unstepped nodes (sanitizer audits) have untouched
-                # queues, so their stale peeks are still exact.
-                assert times is not None
-                for node_id in self._touched:
-                    times[node_id] = peeks[node_id]()
             now = end
             if checkpoint is not None:
                 quanta_done = perf.event_quanta + perf.ff_quanta
@@ -888,128 +866,63 @@ class ClusterSimulator:
             self.checkpoint_sink = sink
         self.checkpoint_sink(snapshot)
 
-    def _run_window(self, end: SimTime) -> None:
-        """Interleave node events in host-time order until the barrier.
-
-        A lazy-invalidation heap orders the nodes' next events by host time
-        (ties by node id, matching a linear scan).  A node's entry is stale
-        whenever its queue head or its clock may have changed — after it
-        handles an event (which may also flip its activity), or after a
-        delivery lands in its queue — tracked with per-node sequence
-        numbers bumped on every push.
-
-        When only one node has a live entry (common at small clusters and
-        in compute-dominated phases), host-time interleaving cannot change
-        the order — ordering only matters *between* nodes — so the node's
-        events are drained directly, skipping the per-event ``host_of``
-        key computation and heap churn, until a delivery touches any node.
-        """
-        nodes = self.nodes
-        clocks = self._clocks
-        sequences = [0] * len(nodes)
-        heap: list[tuple[float, int, int]] = []
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        def push(node_id: int) -> None:
-            event_time = nodes[node_id].peek_time()
-            sequences[node_id] += 1
-            if event_time is None or event_time >= end:
-                return
-            key = clocks[node_id].host_of(event_time)
-            heappush(heap, (key, node_id, sequences[node_id]))
-
-        for node_id in range(len(nodes)):
-            push(node_id)
-        dirty = self._dirty
-        handled = 0
-        while heap:
-            _, node_id, entry_seq = heappop(heap)
-            if entry_seq != sequences[node_id]:
-                continue
-            dirty.clear()
-            node = nodes[node_id]
-            node.pop_and_handle()
-            handled += 1
-            if not heap:
-                # Single-active-node fast path (see docstring).
-                peek = node.peek_time
-                handle = node.pop_and_handle
-                while not dirty:
-                    event_time = peek()
-                    if event_time is None or event_time >= end:
-                        break
-                    handle()
-                    handled += 1
-            push(node_id)
-            for touched in dirty:
-                if touched != node_id:
-                    push(touched)
-        dirty.clear()
-        self.perf.events += handled
-
     # ------------------------------------------------------------------ #
-    # Vectorized stepper
+    # Event windows
     # ------------------------------------------------------------------ #
 
-    def _prepare_window_vec(self, start: SimTime, end: SimTime, host: float) -> None:
-        """Draw and combine every node's per-quantum slowdowns at once.
+    def _prepare_window(self, start: SimTime, end: SimTime) -> None:
+        """Take this window's jitter row and open a new materialization epoch.
 
-        Computes exactly what N ``slowdown_pair`` calls (plus the stall
-        scaling) would, but elementwise over arrays: same jitter stream
-        positions, same operation order per element, bit-identical values.
-        Clocks are *not* reset here — :meth:`_materialize` builds a node's
-        clock lazily the first time the window needs it, so event-free
-        nodes advance arithmetically (the subset fast-forward).
+        Only plain floats are gathered here (wide clusters also keep the
+        row as an array); no node's slowdowns are combined yet.
+        :meth:`_materialize` builds a node's clock the first time the
+        window needs it, so event-free nodes advance arithmetically (the
+        subset fast-forward).
         """
-        jitter = self._feed.row()
-        tmp = jitter * self._node_factors
-        if self._sampling:
-            bases = np.empty(len(self.host_models))
-            for index, model in enumerate(self.host_models):
-                bases[index] = model.busy_base_at(start)
-            busy = bases * tmp
+        if self._busy_mask is not None:
+            self._q_row = row = self._feed.row()
+            self._q_jitter = row.tolist()
         else:
-            busy = self._busy_bases * tmp
-        idle = self._idle_bases * tmp
-        injector = self.injector
-        if injector is not None and injector.plan.stalls:
-            for node_id in range(len(self.nodes)):
-                stall = injector.stall_factor(node_id, start, end)
-                if stall != 1.0:
-                    busy[node_id] *= stall
-                    idle[node_id] *= stall
-        # Convert slowdowns to clock rates once, elementwise (the scalar
-        # path divides per node inside ``reset``; same operands, same IEEE
-        # division, identical doubles).  Plain-float copies for scalar
-        # access (materialization): one bulk conversion beats N
-        # numpy-scalar reads when most nodes are active.
-        busy_rates = 1e9 / busy
-        idle_rates = 1e9 / idle
-        self._q_busy_rates_arr = busy_rates
-        self._q_idle_rates_arr = idle_rates
-        self._q_busy_rates = busy_rates.tolist()
-        self._q_idle_rates = idle_rates.tolist()
+            self._q_jitter = self._feed.row_list()
+        if self._sampling:
+            self._q_busy_bases = [
+                model.busy_base_at(start) for model in self.host_models
+            ]
+        if self._stalled:
+            injector = self.injector
+            assert injector is not None
+            self._q_stalls = [
+                injector.stall_factor(node_id, start, end)
+                for node_id in range(len(self.nodes))
+            ]
         self._epoch += 1
         self._touched.clear()
 
     def _materialize(self, node_id: int) -> None:
         """Give *node_id* a real per-window clock (idempotent per window).
 
-        The reset is value-identical to the scalar path's unconditional
-        reset at window start: untouched nodes cannot have flipped activity
-        (flips only happen while handling events, which materializes
-        first), so ``node.activity`` still holds the window-start value.
+        The slowdowns come from :func:`_slowdowns`, then ``rate = 1e9 /
+        slowdown`` — the same doubles per-node ``slowdown_pair`` plus
+        ``clock.reset`` would give.  Untouched nodes cannot have flipped
+        activity (flips only happen while handling events, which
+        materializes first), so ``node.activity`` still holds the
+        window-start value.
         """
         if self._epochs[node_id] == self._epoch:
             return
         self._epochs[node_id] = self._epoch
         self._touched.append(node_id)
-        # Inlined ``clock.reset`` with the division already done in bulk by
-        # ``_prepare_window_vec`` — value-identical to the scalar reset.
+        stalls = self._q_stalls
+        busy, idle = _slowdowns(
+            self._q_jitter[node_id],
+            self._factors[node_id],
+            self._q_busy_bases[node_id],
+            self._idle_base,
+            None if stalls is None else stalls[node_id],
+        )
         clock = self._clocks[node_id]
-        clock.busy_rate = busy_rate = self._q_busy_rates[node_id]
-        clock.idle_rate = idle_rate = self._q_idle_rates[node_id]
+        clock.busy_rate = busy_rate = 1e9 / busy
+        clock.idle_rate = idle_rate = 1e9 / idle
         clock.seg_sim = self._window[0]
         clock.seg_host = self._host_window_start
         clock.seg_rate = (
@@ -1020,58 +933,95 @@ class ClusterSimulator:
         for node_id in range(len(self.nodes)):
             self._materialize(node_id)
 
-    def _window_cost_vec(self, start: SimTime, end: SimTime, host: float) -> float:
+    def _window_cost(self, start: SimTime, end: SimTime, host: float) -> float:
         """Max host finish time over all nodes, minus the window's start.
 
-        Event-free (untouched) nodes finished the window on a single
-        segment; their finish is computed arithmetically over the slowdown
-        arrays with the same per-element operations the scalar path's
-        ``reset`` + ``finish_host`` would perform (``rate = 1e9 / slowdown``
-        then ``host + span / rate`` — never algebraically rearranged, so
-        the floats match bit-for-bit).  Touched nodes use their clocks.
+        Touched nodes finish on their clocks.  An untouched node finished
+        the window on one segment, at ``host + span / (1e9 / s)`` for its
+        slowdown ``s``.  Correctly rounded IEEE ``/`` and ``+`` are
+        monotone, so that expression is non-decreasing in ``s`` and its
+        maximum over the untouched nodes is the expression at their
+        largest ``s`` (:meth:`_worst_untouched_slowdown`): the result is
+        the identical double a per-node evaluation would give.
         """
         clocks = self._clocks
         touched = self._touched
-        if len(touched) == len(clocks):
-            # All nodes stepped: ``host_of(end)`` for each, unrolled into
-            # segment-attribute arithmetic (identical expression, no
-            # per-node call or generator frame).
-            best = -math.inf
-            for clock in clocks:
-                finish = clock.seg_host + (end - clock.seg_sim) / clock.seg_rate
-                if finish > best:
-                    best = finish
-            return best - host
-        span = end - start
-        rates = np.where(
-            self._busy_mask, self._q_busy_rates_arr, self._q_idle_rates_arr
-        )
-        finishes = host + span / rates
-        if touched:
-            finishes[touched] = -np.inf
-            best = float(finishes.max())
+        best = -math.inf
+        for node_id in touched:
+            clock = clocks[node_id]
+            finish = clock.seg_host + (end - clock.seg_sim) / clock.seg_rate
+            if finish > best:
+                best = finish
+        mask = self._busy_mask
+        if mask is not None:
+            # Only stepped nodes can have flipped activity; the mask now
+            # holds every node's activity at the next window's start.
+            nodes = self.nodes
             for node_id in touched:
-                finish = clocks[node_id].host_of(end)
-                if finish > best:
-                    best = finish
-        else:
-            best = float(finishes.max())
+                mask[node_id] = nodes[node_id].activity == BUSY
+        if len(touched) < len(clocks):
+            worst = self._worst_untouched_slowdown()
+            finish = host + (end - start) / (1e9 / worst)
+            if finish > best:
+                best = finish
         return best - host
 
-    def _run_window_vec(
-        self, end: SimTime, times: list[Optional[SimTime]]
-    ) -> None:
+    def _worst_untouched_slowdown(self) -> float:
+        """The largest slowdown of a node this window did not step.
+
+        An untouched node's activity is still its window-start value, so
+        its slowdown is the busy or idle one of :func:`_slowdowns`.
+        """
+        mask = self._busy_mask
+        stalls = self._q_stalls
+        if mask is not None:
+            assert self._q_row is not None
+            busy, idle = _slowdowns(
+                self._q_row,
+                self._node_factors,
+                np.array(self._q_busy_bases) if self._sampling else self._busy_bases,
+                self._idle_base,
+                None if stalls is None else np.array(stalls),
+            )
+            slow = np.where(mask, busy, idle)
+            # Stepped nodes' entries are stale (their activity was
+            # refreshed); slowdowns are positive, so 0 never wins.
+            slow[self._touched] = 0.0
+            return float(slow.max())
+        # :func:`_slowdowns` written out: calling it per node took a
+        # 64-node window with one stepped node from 5.2 to 9.0 us.
+        epochs = self._epochs
+        epoch = self._epoch
+        jitter = self._q_jitter
+        factors = self._factors
+        busy_bases = self._q_busy_bases
+        idle_base = self._idle_base
+        worst = 0.0
+        for node_id, node in enumerate(self.nodes):
+            if epochs[node_id] == epoch:
+                continue
+            slow = (
+                busy_bases[node_id] if node.activity == BUSY else idle_base
+            ) * (jitter[node_id] * factors[node_id])
+            if stalls is not None:
+                slow *= stalls[node_id]
+            if slow > worst:
+                worst = slow
+        return worst
+
+    def _run_window(self, end: SimTime, times: list[Optional[SimTime]]) -> None:
         """Interleave node events in host-time order until the barrier.
 
-        Same lazy-invalidation heap as :meth:`_run_window` (same
-        ``(host_key, node_id, seq)`` total order, hence the same event
-        order), with two additions: nodes are materialized on first touch
+        A lazy-invalidation heap orders the nodes' next events by
+        ``(host_key, node_id, seq)``; an entry is stale whenever its node's
+        queue head or clock may have changed (tracked with per-node
+        sequence numbers).  Nodes are materialized on first touch
         (event-free nodes never enter the heap at all), and after handling
         an event the node keeps draining *directly* while its next key
         still beats the heap top — the heap top's key is a lower bound on
         every live entry, so winning the comparison proves the node would
-        be popped next anyway.  This generalizes the scalar path's
-        single-active-node fast path to any number of live nodes.
+        be popped next anyway.  Every stepped node's entry in *times* is
+        refreshed before returning.
         """
         nodes = self.nodes
         clocks = self._clocks
@@ -1128,6 +1078,11 @@ class ClusterSimulator:
                 break
         dirty.clear()
         self.perf.events += handled
+        # Only stepped nodes' queues changed: an in-window delivery asks
+        # for its destination's position, which materializes it.
+        peeks = self._peeks
+        for node_id in self._touched:
+            times[node_id] = peeks[node_id]()
 
     def _run_window_drain(
         self, end: SimTime, times: list[Optional[SimTime]]
@@ -1146,15 +1101,18 @@ class ClusterSimulator:
         host times (see :meth:`_on_emit`), and the batch is sorted into
         ``(host time, node id, per-node order)`` — exactly the order the
         interleaved heap pops emit events — before submission.  Results are
-        bit-identical to the interleaved paths.
+        bit-identical to the interleaved window.
         """
         nodes = self.nodes
         clocks = self._clocks
         epochs = self._epochs
         epoch = self._epoch
         touched_append = self._touched.append
-        busy_rates = self._q_busy_rates
-        idle_rates = self._q_idle_rates
+        jitter = self._q_jitter
+        factors = self._factors
+        busy_bases = self._q_busy_bases
+        idle_base = self._idle_base
+        stalls = self._q_stalls
         window_start = self._window[0]
         host_start = self._host_window_start
         pending: list[tuple[float, int, int, Packet]] = []
@@ -1165,13 +1123,22 @@ class ClusterSimulator:
                 continue
             node = nodes[node_id]
             if epochs[node_id] != epoch:
-                # Inlined :meth:`_materialize` with this window's constants
-                # hoisted out of the loop (value-identical clock reset).
+                # :meth:`_materialize` written out with this window's
+                # constants hoisted: a ground-truth window materializes
+                # most nodes, and the extra call per node cost 1-5% of a
+                # 64-node ground-truth run.
                 epochs[node_id] = epoch
                 touched_append(node_id)
+                busy, idle = _slowdowns(
+                    jitter[node_id],
+                    factors[node_id],
+                    busy_bases[node_id],
+                    idle_base,
+                    None if stalls is None else stalls[node_id],
+                )
                 clock = clocks[node_id]
-                clock.busy_rate = busy_rate = busy_rates[node_id]
-                clock.idle_rate = idle_rate = idle_rates[node_id]
+                clock.busy_rate = busy_rate = 1e9 / busy
+                clock.idle_rate = idle_rate = 1e9 / idle
                 clock.seg_sim = window_start
                 clock.seg_host = host_start
                 clock.seg_rate = (
@@ -1181,8 +1148,7 @@ class ClusterSimulator:
             handled += count
             # In a drain window a node's queue only changes while it is
             # being drained (nothing is delivered mid-window), so the
-            # drain's final head time is exactly the fresh peek the
-            # driver's post-window refresh would compute.
+            # drain's final head time is exactly a fresh peek.
             times[node_id] = next_time
         self._drain_pending = None
         if pending:
@@ -1194,19 +1160,11 @@ class ClusterSimulator:
                 pending.sort()
             self.controller.submit_held_batch(pending)
         self.perf.events += handled
+        self.perf.drain_windows += 1
 
     # ------------------------------------------------------------------ #
     # Fast-forward accelerator
     # ------------------------------------------------------------------ #
-
-    def _next_interesting_time(self) -> Optional[SimTime]:
-        """Earliest simulated time at which anything can happen."""
-        best = self.controller.next_held_time()
-        for node in self.nodes:
-            t = node.peek_time()
-            if t is not None and (best is None or t < best):
-                best = t
-        return best
 
     def _fast_forward(
         self,
@@ -1222,88 +1180,26 @@ class ClusterSimulator:
         """Skip whole packet-free quanta up to (never into) *horizon*.
 
         No events means no activity transitions, so each node advances each
-        skipped quantum at a single rate — exactly what the vectorised
-        per-quantum slowdown draws model.
-        """
-        activities = [node.activity for node in self.nodes]
-        sanitizer = self.sanitizer
-        injector = self.injector
-        collector = self.collector
-        stalled = injector is not None and bool(injector.plan.stalls)
-        while True:
-            lengths, next_state = self.policy.idle_chunk(
-                q_state, horizon - now, self.config.chunk
-            )
-            count = len(lengths)
-            if count == 0:
-                return now, host, q_state
-            starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
-            ends = starts + lengths if stalled else None
-            max_slow = self.host_models[0].slowdowns(count, activities[0], starts)
-            if stalled:
-                assert injector is not None and ends is not None
-                factors = injector.stall_factors(0, starts, ends)
-                if factors is not None:
-                    max_slow *= factors
-            for node_id, (model, activity) in enumerate(
-                zip(self.host_models[1:], activities[1:]), start=1
-            ):
-                slow = model.slowdowns(count, activity, starts)
-                if stalled:
-                    assert injector is not None and ends is not None
-                    factors = injector.stall_factors(node_id, starts, ends)
-                    if factors is not None:
-                        slow = slow * factors
-                np.maximum(max_slow, slow, out=max_slow)
-            if stalled:
-                assert injector is not None and ends is not None
-                injector.on_quanta(starts, ends)
-            node_cost = float((lengths * max_slow).sum()) / 1e9
-            span = int(lengths.sum())
-            barrier_total = barrier_cost * count
-            host += node_cost + barrier_total
-            breakdown.add(node_cost, barrier_total)
-            quantum_stats.record_lengths(lengths)
-            self.controller.note_idle_quanta(count)
-            if sanitizer is not None:
-                sanitizer.on_fast_forward(
-                    now, span, count, horizon, self.controller.next_held_time()
-                )
-            if collector is not None:
-                collector.fast_forward(now, span, count, node_cost, barrier_total)
-            if timeline is not None:
-                timeline.add_span(now, now + span, node_cost + barrier_total)
-            self.perf.ff_spans += 1
-            self.perf.ff_quanta += count
-            now += span
-            q_state = next_state
-
-    def _fast_forward_vec(
-        self,
-        now: SimTime,
-        host: float,
-        q_state: float,
-        horizon: SimTime,
-        barrier_cost: float,
-        quantum_stats: QuantumStats,
-        breakdown: HostCostBreakdown,
-        timeline: Optional[BucketTimeline],
-    ) -> tuple[SimTime, float, float]:
-        """:meth:`_fast_forward`, drawing jitter through the shared feed.
-
-        The homogeneous case (no sampling schedule, no host stalls) folds
-        the per-node loop into one ``(count, N)`` elementwise product and a
-        row max; sampled or stalled runs keep the per-node loop but consume
-        the same feed columns.  Either way the per-element float operations
-        match the scalar path exactly.
+        skipped quantum at a single rate.  Jitter comes through the shared
+        feed as one ``(N, count)`` block per chunk.  The homogeneous case
+        (no sampling schedule, no host stalls) folds each node's slowdowns
+        into one coefficient times its jitter row; sampled or stalled runs
+        apply the per-node slowdown formula.  Either way the per-element
+        float operations match per-quantum draws exactly.
         """
         sanitizer = self.sanitizer
         injector = self.injector
         collector = self.collector
         perf = self.perf
-        stalled = injector is not None and bool(injector.plan.stalls)
-        plain = not (self._sampling or stalled)
-        activities = None if plain else [node.activity for node in self.nodes]
+        stalled = self._stalled
+        activities = [node.activity for node in self.nodes]
+        coeff: Optional[np.ndarray] = None
+        if not (self._sampling or stalled):
+            busy_mask = np.array([activity == BUSY for activity in activities])
+            coeff = (
+                np.where(busy_mask, self._busy_bases, self._idle_bases)
+                * self._node_factors
+            )
         while True:
             lengths, next_state = self.policy.idle_chunk(
                 q_state, horizon - now, self.config.chunk
@@ -1313,24 +1209,19 @@ class ClusterSimulator:
                 return now, host, q_state
             starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
             jitter = self._feed.rows(count)
-            if plain:
+            if coeff is not None:
                 # slowdown = (base * node_factor) * jitter, elementwise —
-                # the same (commutative-exact) products the per-node
-                # slowdowns() calls would compute.  Accumulated node by
-                # node over the feed's contiguous per-node rows: small
-                # cache-resident temporaries instead of one (N, count)
-                # product matrix, and float max is order-insensitive.
-                coeff = (
-                    np.where(self._busy_mask, self._busy_bases, self._idle_bases)
-                    * self._node_factors
-                )
+                # the same (commutative-exact) products per-quantum draws
+                # would compute.  Accumulated node by node over the feed's
+                # contiguous per-node rows: small cache-resident
+                # temporaries instead of one (N, count) product matrix,
+                # and float max is order-insensitive.
                 max_slow = jitter[0] * coeff[0]
                 for node_id in range(1, len(coeff)):
                     np.maximum(
                         max_slow, jitter[node_id] * coeff[node_id], out=max_slow
                     )
             else:
-                assert activities is not None
                 ends = starts + lengths if stalled else None
                 models = self.host_models
                 max_slow = models[0].slowdowns_from(

@@ -26,10 +26,10 @@ Slowdowns are *host seconds per simulated second*.  The reciprocal, scaled
 to nanoseconds, is the ``rate`` used for the affine simulated-time/host-time
 maps in the cluster driver.
 
-Draws are buffered internally: the scalar per-quantum path and the
-vectorised fast-forward path consume the *same* jitter stream in the same
-order, so a run is deterministic regardless of how the driver batches
-quanta.
+Draws are buffered internally: per-quantum draws, the cluster stepper's
+prefetched rows and the vectorised fast-forward path consume the *same*
+jitter stream in the same order, so a run is deterministic regardless of
+how the driver batches quanta.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class HostExecutionModel:
         """Consume *count* per-quantum jitter draws from this node's stream.
 
         Public entry point for drivers that batch jitter across nodes (the
-        vectorised stepper prefetches one row per quantum); consumes exactly
+        cluster stepper prefetches per-quantum rows in blocks); consumes exactly
         the same stream positions as :meth:`slowdown_pair` /
         :meth:`slowdowns`, so batched and per-call consumption interleave
         without desynchronising the stream.

@@ -11,9 +11,9 @@ Service times are **hash-derived, not drawn**: a splitmix64 mix of
 (request id, tier, rank, salt) yields the per-request jitter and
 heavy-tail excursions.  That keeps every per-request quantity a pure
 function of the configuration with *zero* RNG-stream consumption, O(1)
-memory at any request count, and bit-identical values on the scalar and
-vectorized drivers — the same reason the fault injector hashes instead
-of drawing where it can.
+memory at any request count, and bit-identical values whatever order a
+driver steps the nodes in — the same reason the fault injector hashes
+instead of drawing where it can.
 """
 
 from __future__ import annotations

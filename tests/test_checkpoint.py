@@ -5,8 +5,9 @@ while collecting a snapshot at every quantum boundary, then rebuild a
 fresh simulator, restore an intermediate snapshot, run it to completion,
 and require the resumed result to be *bit-identical* (``asdict``
 equality, byte-identical trace streams) to the uninterrupted reference.
-The matrix spans the drivers ({scalar, vectorized, sharded}) crossed
-with the observation modes ({plain, checked, traced, faulted}).
+The matrix spans the drivers ({stepper, scalar reference stepper,
+sharded}) crossed with the observation modes ({plain, checked, traced,
+faulted}), at 2, 4 and 8 nodes.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from repro.checkpoint import (
     capture_snapshot,
     restore_snapshot,
 )
+from repro.core import cluster
 from repro.core import (
     ClusterConfig,
     ClusterSimulator,
@@ -32,6 +34,8 @@ from repro.node.transport import RecoveryConfig, TransportConfig
 from repro.obs.collector import TraceConfig
 from repro.shard import run_sharded
 from repro.workloads import IsWorkload
+
+from tests.reference_stepper import ReferenceSimulator
 
 US = MICROSECOND
 
@@ -59,7 +63,7 @@ def build_sim(
     apps=None,
     num_nodes=2,
     seed=7,
-    vectorized=False,
+    simulator=ClusterSimulator,
     window=10 * US,
     transport=None,
     **config_kwargs,
@@ -71,11 +75,10 @@ def build_sim(
     controller = NetworkController(num_nodes, PAPER_NETWORK(num_nodes))
     config = ClusterConfig(
         seed=seed,
-        vectorized=vectorized,
         checkpoint=CheckpointConfig(directory=str(tmp_path), every_quanta=1),
         **config_kwargs,
     )
-    return ClusterSimulator(nodes, controller, FixedQuantumPolicy(window), config)
+    return simulator(nodes, controller, FixedQuantumPolicy(window), config)
 
 
 def run_collecting(factory):
@@ -105,6 +108,8 @@ def probe_points(snaps):
 
 
 class TestScalarResume:
+    """Resume at 2 nodes across the observation modes."""
+
     def test_checked_pingpong_resumes_bit_identically(self, tmp_path):
         factory = lambda: build_sim(tmp_path, check=True)
         reference, snaps = run_collecting(factory)
@@ -172,30 +177,63 @@ class TestScalarResume:
 
 
 class TestCrossDriverResume:
-    """Snapshots are driver-independent: capture under either stepper,
-    restore onto either stepper, same bits (the jitter-stream remainder
-    is normalized into the per-node model buffers at capture time)."""
+    """Snapshots are driver-independent: capture under the stepper or the
+    scalar reference stepper, restore onto either, same bits (the
+    jitter-stream remainder is normalized into the per-node model buffers
+    at capture time)."""
 
-    @pytest.mark.parametrize("capture_vec", [False, True])
-    @pytest.mark.parametrize("restore_vec", [False, True])
+    @pytest.mark.parametrize("capture_ref", [False, True])
+    @pytest.mark.parametrize("restore_ref", [False, True])
     def test_all_capture_restore_combinations(
-        self, tmp_path, capture_vec, restore_vec
+        self, tmp_path, capture_ref, restore_ref
     ):
         workload = IsWorkload(total_keys=2**12, iterations=2, ops_per_key=8)
 
-        def factory(vec):
+        def factory(ref):
             return build_sim(
                 tmp_path,
                 apps=workload.build_apps(8),
                 num_nodes=8,
-                vectorized=vec,
+                simulator=ReferenceSimulator if ref else ClusterSimulator,
                 window=5 * US,
             )
 
-        reference, snaps = run_collecting(lambda: factory(capture_vec))
+        reference, snaps = run_collecting(lambda: factory(capture_ref))
         index = len(snaps) // 2
-        resumed = resume_from(lambda: factory(restore_vec), snaps[index])
+        resumed = resume_from(lambda: factory(restore_ref), snaps[index])
         assert_identical(reference, resumed)
+
+
+class TestFourNodeResume:
+    """Resume at 4 nodes, in drain windows (Q <= T) and in interleaved
+    windows with event-free nodes (Q > T), plain and checked.  The
+    ``arrays`` cells lower the array-costing threshold so the resumed run
+    rebuilds its busy mask from the restored node activities."""
+
+    @pytest.mark.parametrize("cost", ["floats", "arrays"])
+    @pytest.mark.parametrize("window", [US, 10 * US])
+    @pytest.mark.parametrize("check", [False, True])
+    def test_resumes_bit_identically(self, tmp_path, monkeypatch, window, check, cost):
+        if cost == "arrays":
+            monkeypatch.setattr(cluster, "_ARRAY_COST_MIN_NODES", 2)
+        workload = IsWorkload(total_keys=2**12, iterations=2, ops_per_key=8)
+
+        def factory(simulator=ClusterSimulator):
+            return build_sim(
+                tmp_path,
+                apps=workload.build_apps(4),
+                num_nodes=4,
+                simulator=simulator,
+                window=window,
+                check=check,
+            )
+
+        reference, snaps = run_collecting(factory)
+        assert_identical(reference, factory(ReferenceSimulator).run())
+        # Every boundary: which nodes are idle and event-free right after
+        # a resume differs from one snapshot to the next.
+        for snapshot in snaps:
+            assert_identical(reference, resume_from(factory, snapshot))
 
 
 class TestShardedInteraction:

@@ -1,20 +1,23 @@
-"""Differential equivalence across drivers *and* engine backends.
+"""Differential equivalence of the stepper *and* engine backends.
 
-``ClusterConfig.vectorized`` switches the driver onto the numpy window
-stepper, the subset fast-forward, and the ground-truth drain path;
-``ClusterConfig.backend`` swaps the engine hot core for the compiled C
-implementation.  All of them are *accelerations*, not approximations:
-every test here runs the same configuration through the full
-backend x driver grid (python/native x scalar/vectorized — native rows
-only when the compiled module is importable) and asserts the results are
-equal field-for-field — including the structured trace stream when
-tracing is on.
+The cluster stepper builds clocks lazily from plain-float slowdowns,
+costs event-free nodes arithmetically (the subset fast-forward), and
+drains ground-truth windows; ``ClusterConfig.backend`` swaps the engine
+hot core for the compiled C implementation.  All of them are
+*accelerations*, not approximations: every test here runs the same
+configuration through the full backend x driver grid (python/native x
+reference/stepper — native rows only when the compiled module is
+importable) and asserts the results are equal field-for-field —
+including the structured trace stream when tracing is on.  The
+reference is the eager scalar stepper in :mod:`tests.reference_stepper`.
 
 Coverage:
 
 * a deterministic sweep of 45+ configurations (three paper workloads x
   three cluster sizes x five quantum policies, plus traced, faulted,
   sanitized, and recovery-transport variants), each swept over the grid,
+* the numpy costing of event-free nodes on wide clusters, forced at 4
+  nodes and run unforced at its node-count threshold,
 * a Hypothesis property over random SPMD programs, policies, and seeds,
   with tracing enabled so the event streams are compared too,
 * a regression guard that the subset fast-forward never fires when every
@@ -33,17 +36,20 @@ from repro.core import (
     ClusterSimulator,
     FixedQuantumPolicy,
 )
+from repro.core import cluster
 from repro.engine.backend import native_available
 from repro.engine.units import MICROSECOND
-from repro.faults.plan import load_plan
+from repro.faults.plan import FaultPlan, NodeStall, load_plan
 from repro.mpi.api import spmd_apps
 from repro.network import NetworkController, PAPER_NETWORK
 from repro.node import SimulatedNode
 from repro.node.requests import Compute
+from repro.node.sampling import SamplingSchedule
 from repro.node.transport import RecoveryConfig, TransportConfig
 from repro.obs.collector import TraceConfig
 from repro.workloads import EpWorkload, IsWorkload, NamdWorkload
 
+from tests.reference_stepper import ReferenceSimulator
 from tests.test_cluster_properties import make_program, program_schedules
 
 US = MICROSECOND
@@ -96,13 +102,14 @@ def _run(
     size,
     policy_factory,
     *,
-    vectorized,
+    reference,
     seed=7,
     faults=None,
     trace=False,
     transport=None,
     check=None,
     backend="python",
+    sampling=None,
 ):
     nodes = [
         SimulatedNode(i, app, transport=transport)
@@ -111,13 +118,14 @@ def _run(
     controller = NetworkController(size, PAPER_NETWORK(size))
     config = ClusterConfig(
         seed=seed,
-        vectorized=vectorized,
         faults=faults,
         trace=TraceConfig() if trace else None,
         check=check,
         backend=backend,
+        sampling=sampling,
     )
-    sim = ClusterSimulator(nodes, controller, policy_factory(), config)
+    simulator = ReferenceSimulator if reference else ClusterSimulator
+    sim = simulator(nodes, controller, policy_factory(), config)
     result = sim.run()
     events = (
         _normalize_packet_ids(sim.collector.events)
@@ -131,24 +139,24 @@ def _run(
 def _assert_equivalent(apps_factory, size, policy_factory, **kwargs):
     """Sweep the backend x driver grid; every cell must equal the first.
 
-    The scalar pure-python run is the reference implementation; the
-    vectorized driver and the compiled backend (in every combination)
-    must reproduce it field-for-field, trace stream included.
+    The reference stepper on the pure-python core is the reference
+    implementation; the stepper and the compiled backend (in every
+    combination) must reproduce it field-for-field, trace stream included.
     """
-    reference = None
+    expected = None
     for backend in BACKENDS:
-        for vectorized in (False, True):
+        for reference in (True, False):
             result, _, events, counts = _run(
                 apps_factory, size, policy_factory,
-                vectorized=vectorized, backend=backend, **kwargs
+                reference=reference, backend=backend, **kwargs
             )
             assert result.completed
-            if reference is None:
-                reference = (result, events, counts)
+            if expected is None:
+                expected = (result, events, counts)
                 continue
-            assert result == reference[0], (backend, vectorized)
-            assert events == reference[1], (backend, vectorized)
-            assert counts == reference[2], (backend, vectorized)
+            assert result == expected[0], (backend, reference)
+            assert events == expected[1], (backend, reference)
+            assert counts == expected[2], (backend, reference)
 
 
 # ---------------------------------------------------------------------- #
@@ -168,21 +176,21 @@ def test_paper_matrix_is_bit_identical():
 
 
 def test_traced_runs_are_bit_identical():
-    """Tracing forces the interleaved stepper; streams must match exactly."""
+    """Tracing forces interleaved windows; streams must match exactly."""
     for name in ("1us", "dyn 1.03"):
         for apps_factory in WORKLOADS.values():
             _assert_equivalent(apps_factory, 4, POLICIES[name], trace=True)
 
 
 def test_checked_runs_are_bit_identical():
-    """The causality sanitizer audits both paths without changing results."""
+    """The causality sanitizer audits both steppers without changing results."""
     for name in ("1us", "dyn 1.03"):
         _assert_equivalent(WORKLOADS["IS"], 4, POLICIES[name], check=True)
 
 
 def test_faulted_runs_are_bit_identical():
-    """Fault injection (loss + jitter) disables the drain path; the
-    vectorized driver must still reproduce the scalar run exactly."""
+    """Fault injection (loss + jitter) disables the drain window; the
+    stepper must still reproduce the reference run exactly."""
     transport = TransportConfig(recovery=RecoveryConfig())
     for preset in ("lossy-1", "jittery"):
         faults = load_plan(preset)
@@ -191,6 +199,57 @@ def test_faulted_runs_are_bit_identical():
                 WORKLOADS["IS"], 4, POLICIES[name], faults=faults,
                 transport=transport,
             )
+
+
+STALLS = FaultPlan(
+    stalls=(
+        NodeStall(node=1, start=20_000 * US, end=120_000 * US, factor=6.0),
+        NodeStall(node=3, start=100_000 * US, end=200_000 * US, factor=3.0),
+    )
+)
+
+SAMPLING = SamplingSchedule(
+    period=5_000 * US, detail_fraction=0.3, phase_stagger=700 * US
+)
+
+
+def test_stalled_runs_are_bit_identical():
+    """Host stalls scale a node's slowdowns after the base and jitter
+    products, in event windows and fast-forward spans alike."""
+    for name in ("1us", "dyn 1.03"):
+        _assert_equivalent(WORKLOADS["IS"], 4, POLICIES[name], faults=STALLS)
+
+
+def test_sampled_runs_are_bit_identical():
+    """Sampling varies each node's busy base per window; the stepper reads
+    it at window start exactly like per-node slowdown draws do."""
+    for name in ("1us", "dyn 1.03", "100us"):
+        for apps_factory in (WORKLOADS["IS"], WORKLOADS["NAMD"]):
+            _assert_equivalent(apps_factory, 4, POLICIES[name], sampling=SAMPLING)
+
+
+def test_array_costing_is_bit_identical(monkeypatch):
+    """Wide clusters cost their event-free nodes with numpy arrays instead
+    of a plain-float loop.  With the threshold lowered, that path runs at
+    4 nodes through every paper policy, stalls, sampling and the
+    sanitizer, and must still reproduce the reference."""
+    monkeypatch.setattr(cluster, "_ARRAY_COST_MIN_NODES", 2)
+    _, sim, _, _ = _run(WORKLOADS["IS"], 4, POLICIES["10us"], reference=False)
+    assert sim._busy_mask is not None
+    for apps_factory in WORKLOADS.values():
+        for policy_factory in POLICIES.values():
+            _assert_equivalent(apps_factory, 4, policy_factory)
+    for name in ("1us", "dyn 1.03"):
+        _assert_equivalent(WORKLOADS["IS"], 4, POLICIES[name], faults=STALLS)
+        _assert_equivalent(WORKLOADS["IS"], 4, POLICIES[name], sampling=SAMPLING)
+        _assert_equivalent(WORKLOADS["IS"], 4, POLICIES[name], check=True)
+
+
+def test_wide_cluster_runs_are_bit_identical():
+    """At the array-costing threshold itself, unpatched."""
+    size = cluster._ARRAY_COST_MIN_NODES
+    for name in ("10us", "dyn 1.03"):
+        _assert_equivalent(WORKLOADS["IS"], size, POLICIES[name])
 
 
 def test_recovery_transport_runs_are_bit_identical():
@@ -254,7 +313,7 @@ def test_subset_fast_forward_never_fires_when_every_node_is_busy():
     size = 4
     nodes = [SimulatedNode(i, app()) for i in range(size)]
     controller = NetworkController(size, PAPER_NETWORK(size))
-    config = ClusterConfig(seed=3, vectorized=True)
+    config = ClusterConfig(seed=3)
     sim = ClusterSimulator(nodes, controller, FixedQuantumPolicy(US), config)
     result = sim.run()
     assert result.completed
@@ -281,7 +340,7 @@ def test_subset_fast_forward_fires_on_imbalanced_nodes():
         SimulatedNode(i, app) for i, app in enumerate(spmd_apps(size, program))
     ]
     controller = NetworkController(size, PAPER_NETWORK(size))
-    config = ClusterConfig(seed=3, vectorized=True)
+    config = ClusterConfig(seed=3)
     sim = ClusterSimulator(nodes, controller, FixedQuantumPolicy(US), config)
     result = sim.run()
     assert result.completed

@@ -1,5 +1,7 @@
 """Integration tests for the quantum-synchronized cluster driver."""
 
+import pickle
+
 import pytest
 
 from repro.core import (
@@ -14,6 +16,10 @@ from repro.engine.units import MICROSECOND, MILLISECOND
 from repro.network import NetworkController, PAPER_NETWORK
 from repro.node import ComputeTime, Recv, Send, SimulatedNode, Sleep
 from repro.node.hostmodel import HostModelParams
+from repro.obs.collector import TraceConfig
+from repro.workloads import IsWorkload
+
+from tests.reference_stepper import ReferenceSimulator
 
 US = MICROSECOND
 
@@ -35,12 +41,14 @@ def pingpong_apps(rounds, gap=50 * US, nbytes=64):
     return [pinger(), ponger()]
 
 
-def build(policy, apps=None, seed=7, num_nodes=2, **config_kwargs):
+def build(
+    policy, apps=None, seed=7, num_nodes=2, simulator=ClusterSimulator, **config_kwargs
+):
     apps = apps if apps is not None else pingpong_apps(10)
     nodes = [SimulatedNode(i, app) for i, app in enumerate(apps)]
     controller = NetworkController(num_nodes, PAPER_NETWORK(num_nodes))
     config = ClusterConfig(seed=seed, **config_kwargs)
-    return ClusterSimulator(nodes, controller, policy, config)
+    return simulator(nodes, controller, policy, config)
 
 
 class TestConstruction:
@@ -234,3 +242,56 @@ class TestHostModelInfluence:
     def test_barrier_negligible_for_huge_quanta(self):
         result = build(FixedQuantumPolicy(1000 * US)).run()
         assert result.breakdown.barrier_fraction < 0.5
+
+
+class TestConstructionKnobs:
+    def test_vectorized_knob_is_gone(self):
+        # One stepper: there is no stepper selection left to configure.
+        with pytest.raises(TypeError):
+            ClusterConfig(vectorized=True)
+
+
+class TestWindowModeCounter:
+    """``PerfCounters.drain_windows`` reports which window mode a run took.
+
+    Drain windows need ``Q <= T`` and no trace collector or fault
+    injector; the counter is host-side telemetry and never reaches
+    :class:`RunResult`.
+    """
+
+    @staticmethod
+    def run_is(window, **kwargs):
+        apps = IsWorkload(total_keys=2**12, iterations=2, ops_per_key=8).build_apps(4)
+        sim = build(FixedQuantumPolicy(window), apps=apps, num_nodes=4, **kwargs)
+        return sim.run(), sim.perf
+
+    def test_untraced_ground_truth_run_drains_every_window(self):
+        result, perf = self.run_is(PAPER_NETWORK(4).min_latency())
+        assert result.completed
+        assert perf.event_quanta > 0
+        assert perf.drain_windows == perf.event_quanta
+
+    def test_traced_or_coarse_runs_never_drain(self):
+        _, traced = self.run_is(PAPER_NETWORK(4).min_latency(), trace=TraceConfig())
+        _, coarse = self.run_is(2 * PAPER_NETWORK(4).min_latency())
+        for perf in (traced, coarse):
+            assert perf.event_quanta > 0
+            assert perf.drain_windows == 0
+
+    def test_window_mode_leaves_the_result_byte_identical(self):
+        truth = PAPER_NETWORK(4).min_latency()
+        drained, drained_perf = self.run_is(truth)
+        interleaved, interleaved_perf = self.run_is(truth, trace=TraceConfig())
+        assert drained_perf.drain_windows > 0
+        assert interleaved_perf.drain_windows == 0
+        assert pickle.dumps(drained) == pickle.dumps(interleaved)
+        assert "drain_windows" not in repr(drained)
+
+    def test_reference_stepper_counts_no_drain_windows(self):
+        """The reference interleaves every window, even at ``Q <= T``."""
+        truth = PAPER_NETWORK(4).min_latency()
+        drained, _ = self.run_is(truth)
+        reference, perf = self.run_is(truth, simulator=ReferenceSimulator)
+        assert perf.event_quanta > 0
+        assert perf.drain_windows == 0
+        assert reference == drained

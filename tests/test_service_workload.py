@@ -1,7 +1,8 @@
 """End-to-end tests for the open-loop service workload.
 
 Covers the subsystem's whole contract: deterministic completion on every
-driver (scalar, vectorized, sharded, checkpoint-resumed), the
+driver (the stepper, the scalar reference stepper, sharded,
+checkpoint-resumed), the
 ``metric_kind="percentile"`` accuracy path, request-lifecycle tracing,
 live progress reporting, and — critically — that adding the subsystem
 changed no pre-existing cache key (locked against golden hashes).
@@ -40,6 +41,8 @@ from repro.service.tiers import hash01
 from repro.shard import run_sharded
 from repro.workloads import EpWorkload, IsWorkload
 
+from tests.reference_stepper import ReferenceSimulator
+
 US = MICROSECOND
 
 
@@ -53,12 +56,14 @@ def small_workload(**overrides):
     return ServiceWorkload(**defaults)
 
 
-def build_sim(workload, size, policy=None, **config_kwargs):
+def build_sim(
+    workload, size, policy=None, simulator=ClusterSimulator, **config_kwargs
+):
     nodes = [
         SimulatedNode(i, app) for i, app in enumerate(workload.build_apps(size))
     ]
     controller = NetworkController(size, PAPER_NETWORK(size))
-    return ClusterSimulator(
+    return simulator(
         nodes,
         controller,
         policy if policy is not None else FixedQuantumPolicy(US),
@@ -124,11 +129,12 @@ class TestDeterminism:
         assert served[0] == 150  # the single frontend serves everything
 
     def test_scalar_vectorized_bit_identical(self):
+        """The stepper reproduces the scalar reference stepper."""
         results = []
-        for vectorized in (False, True):
+        for simulator in (ReferenceSimulator, ClusterSimulator):
             workload = small_workload()
             results.append(
-                build_sim(workload, 4, vectorized=vectorized).run()
+                build_sim(workload, 4, simulator=simulator).run()
             )
         assert dataclasses.asdict(results[0]) == dataclasses.asdict(results[1])
 
