@@ -237,6 +237,10 @@ class PerfCounters:
 #: host the two cross between 64 and 96 nodes (DESIGN.md §3).
 _ARRAY_COST_MIN_NODES = 96
 
+#: Fast-forward takes its max over nodes in column blocks of about this
+#: many elements: a whole ``(64, 65536)`` chunk's product would be 32 MB.
+_FF_BLOCK_ELEMENTS = 1 << 15
+
 
 def _slowdowns(
     jitter: Any, factor: Any, busy_base: Any, idle_base: float, stall: Any
@@ -320,28 +324,29 @@ class _JitterFeed:
     def rows(self, count: int) -> np.ndarray:
         """The next *count* draws per node, shape ``(N, count)``.
 
-        Node-major layout: row *i* is node *i*'s next *count* draws,
-        contiguous, so the fast-forward accelerator reads and fills each
-        node's stream without strided column access.  The draws are the
-        same numbers :meth:`row` would have produced quantum by quantum —
-        only the memory layout differs.
+        Node-major layout: row *i* is node *i*'s next *count* draws.  When
+        the prefetched block covers them this is a transposed view of the
+        block (the caller must not mutate it); otherwise the prefetched
+        head is copied and each node's remaining draws are filled straight
+        from its stream into its contiguous row.  The draws are the same
+        numbers :meth:`row` would have produced quantum by quantum — only
+        the memory layout differs.
         """
         models = self._models
         if self._ones_row is not None:
             return np.ones((len(models), count))
-        have = len(self._matrix) - self._cursor
-        take = min(have, count)
-        rest = count - take
-        # Fill one output block: prefetched head rows first (transposed
-        # into node-major order), then each node's remaining draws straight
-        # from its stream into its contiguous row.
+        cursor = self._cursor
+        have = len(self._matrix) - cursor
+        if have >= count:
+            self._cursor = cursor + count
+            return self._matrix[cursor : cursor + count].T
         out = np.empty((len(models), count))
-        if take:
-            out[:, :take] = self._matrix[self._cursor : self._cursor + take].T
-            self._cursor += take
-        if rest:
-            for index, model in enumerate(models):
-                out[index, take:] = model.take_jitter(rest)
+        if have:
+            out[:, :have] = self._matrix[cursor:].T
+            self._cursor += have
+        rest = count - have
+        for index, model in enumerate(models):
+            out[index, have:] = model.take_jitter(rest)
         return out
 
     def _fetch(self, rows: int) -> np.ndarray:
@@ -512,8 +517,8 @@ class ClusterSimulator:
         #: every in-window emission is due at or beyond the barrier) —
         #: eligibility test for the ground-truth window drain.
         self._min_latency = controller.latency_model.min_latency()
-        #: Non-None while a drain window is collecting emissions; see
-        #: :meth:`_run_window_drain`.
+        #: Non-None while a drain window is collecting emissions (see
+        #: the drain in :meth:`run`).
         self._drain_pending: Optional[list[tuple[float, int, int, Packet]]] = None
         # numpy copies of the per-node constants for the fast-forward
         # accelerator's (N, count) blocks.
@@ -674,39 +679,66 @@ class ClusterSimulator:
         # call sites.  Results are bit-identical either way.
         drain_ok = collector is None and injector is None
         min_latency = self._min_latency
+        limit = config.sim_time_limit
         # Every node's next event time, maintained incrementally: a node's
         # queue only changes when it is stepped in a window (the window
         # refreshes it) or when a held frame is released to it (updated at
         # the release site) — fast-forward spans touch no queues at all.
         times: list[Optional[SimTime]] = [peek() for peek in self._peeks]
+        busy_mask: Optional[np.ndarray] = None
         if num_nodes >= _ARRAY_COST_MIN_NODES:
-            self._busy_mask = np.array([node.activity == BUSY for node in nodes])
+            self._busy_mask = busy_mask = np.array(
+                [node.activity == BUSY for node in nodes]
+            )
+        feed = self._feed
+        clocks = self._clocks
+        epochs = self._epochs
+        touched = self._touched
+        factors = self._factors
+        idle_base = self._idle_base
+        drains = [node.queue.drain for node in nodes]
+        # Termination: ``_done()`` can only hold once every application
+        # has finished, and finishing is permanent, so a cursor at the
+        # first unfinished node gates it.
+        unfinished = 0
+        while unfinished < num_nodes and nodes[unfinished].finished:
+            unfinished += 1
+        if unfinished == num_nodes and self._done():
+            return self._result(now, host, True, breakdown, quantum_stats, timeline)
 
-        while not self._done():
+        while True:
+            window = policy.window(q_state)
             if supervision is not None:
                 # One call per quantum: the watchdog records progress and
                 # raises RunTimeout past its wall-clock deadline.
-                supervision(now, policy.window(q_state))
-            if now >= config.sim_time_limit:
+                supervision(now, window)
+            if now >= limit:
                 return self._result(now, host, False, breakdown, quantum_stats, timeline)
 
-            horizon = controller.next_held_time()
+            # Fast-forward never touches held frames, so this one read
+            # also serves the release check below.
+            held = controller.next_held_time()
+            horizon = held
             for t in times:
                 if t is not None and (horizon is None or t < horizon):
                     horizon = t
             if horizon is None:
                 raise DeadlockError(self._deadlock_report(now))
-
-            if config.fast_forward:
+            if (
+                config.fast_forward
+                and horizon - now >= config.fast_forward_min_quanta * window
+            ):
+                now, host, q_state = self._fast_forward(
+                    now, host, q_state, min(horizon, limit),
+                    barrier_cost, quantum_stats, breakdown, timeline,
+                )
                 window = policy.window(q_state)
-                if horizon - now >= config.fast_forward_min_quanta * window:
-                    now, host, q_state = self._fast_forward(
-                        now, host, q_state, min(horizon, config.sim_time_limit),
-                        barrier_cost, quantum_stats, breakdown, timeline,
-                    )
 
-            # One event-by-event quantum.
-            window = policy.window(q_state)
+            # One event-by-event quantum.  Its slowdown inputs are taken
+            # as plain floats (wide clusters also keep the jitter row as
+            # an array); a node's clock is built from them only when the
+            # window first touches it, so event-free nodes advance
+            # arithmetically (the subset fast-forward).
             start, end = now, now + window
             self._window = (start, end)
             if sanitizer is not None:
@@ -714,14 +746,30 @@ class ClusterSimulator:
             if collector is not None:
                 collector.quantum_begin(start, end)
             self._host_window_start = host
-            self._prepare_window(start, end)
+            if busy_mask is not None:
+                self._q_row = row = feed.row()
+                self._q_jitter = jitter = row.tolist()
+            else:
+                self._q_jitter = jitter = feed.row_list()
+            if self._sampling:
+                self._q_busy_bases = [
+                    model.busy_base_at(start) for model in self.host_models
+                ]
             if injector is not None:
+                if self._stalled:
+                    self._q_stalls = [
+                        injector.stall_factor(node_id, start, end)
+                        for node_id in range(num_nodes)
+                    ]
                 injector.on_quantum(start, end)
+            busy_bases = self._q_busy_bases
+            stalls = self._q_stalls
+            self._epoch = epoch = self._epoch + 1
+            touched.clear()
 
             # Only ask the controller to scan its held-frame heap when the
             # earliest held frame is actually due — for most quanta the call
             # would return an empty list (the hot path of long runs).
-            held = controller.next_held_time()
             if held is not None and held < end:
                 for decision in controller.release_due(start, end):
                     dst = decision.packet.dst
@@ -730,13 +778,55 @@ class ClusterSimulator:
 
             self._in_window = True
             if drain_ok and window <= min_latency:
-                self._run_window_drain(end, times)
+                # Drain window (``Q <= T``, DESIGN.md §3): every frame
+                # sent in it is held past the barrier, so each active node
+                # drains its events in one pass.  :meth:`_on_emit` collects
+                # the emissions, sorted into the interleaved heap's order
+                # ``(host time, node id, per-node order)`` for submission.
+                pending: list[tuple[float, int, int, Packet]] = []
+                self._drain_pending = pending
+                handled = 0
+                for node_id, event_time in enumerate(times):
+                    if event_time is None or event_time >= end:
+                        continue
+                    node = nodes[node_id]
+                    if epochs[node_id] != epoch:
+                        # :meth:`_materialize` written out: a ground-truth
+                        # window materializes most nodes, and the call
+                        # per node cost 1-5% of a 64-node run.
+                        epochs[node_id] = epoch
+                        touched.append(node_id)
+                        busy, idle = _slowdowns(
+                            jitter[node_id], factors[node_id], busy_bases[node_id],
+                            idle_base, None if stalls is None else stalls[node_id],
+                        )
+                        clock = clocks[node_id]
+                        clock.busy_rate = busy_rate = 1e9 / busy
+                        clock.idle_rate = idle_rate = 1e9 / idle
+                        clock.seg_sim = start
+                        clock.seg_host = host
+                        clock.seg_rate = (
+                            busy_rate if node.activity == BUSY else idle_rate
+                        )
+                    # Nothing is delivered mid-window, so the drain's final
+                    # head time is exactly a fresh peek.
+                    count, times[node_id] = drains[node_id](end, node)
+                    handled += count
+                self._drain_pending = None
+                if pending:
+                    if len(pending) > 1:
+                        # The unique order field makes the sort total
+                        # without ever comparing packets.
+                        pending.sort()
+                    controller.submit_held_batch(pending)
+                perf.events += handled
+                perf.drain_windows += 1
             else:
                 self._run_window(end, times)
             self._in_window = False
 
             perf.event_quanta += 1
-            stepped = len(self._touched)
+            stepped = len(touched)
             perf.stepped_node_quanta += stepped
             if stepped < num_nodes:
                 # Subset fast-forward: the event-free nodes of this
@@ -750,7 +840,9 @@ class ClusterSimulator:
                 # give event-free nodes their (value-identical) clocks.
                 self._materialize_all()
                 sanitizer.on_quantum_end(start, end, np_count)
-            if self._done():
+            while unfinished < num_nodes and nodes[unfinished].finished:
+                unfinished += 1
+            if unfinished == num_nodes and self._done():
                 self._materialize_all()
                 # The run completed inside this quantum: the simulation stops
                 # the moment the last application event is processed, so the
@@ -765,7 +857,7 @@ class ClusterSimulator:
                 node_cost = max(
                     clock.host_of(min(max(t, start), end))
                     for clock, t in zip(
-                        self._clocks,
+                        clocks,
                         (node.app_finish_time or start for node in nodes),
                     )
                 ) - host
@@ -782,17 +874,67 @@ class ClusterSimulator:
                     )
                 now = max(last, start + 1)
                 break
-            node_cost = self._window_cost(start, end, host)
+
+            # Window cost: the max host finish time over all nodes.  An
+            # untouched node finishes at ``host + window / (1e9 / s)`` for
+            # its slowdown ``s``; that is monotone in ``s``, so the max over
+            # untouched nodes is taken at their largest ``s`` (DESIGN.md
+            # §3).  Read the touched count only now: the sanitizer may have
+            # materialized every node.
+            best = -math.inf
+            for node_id in touched:
+                clock = clocks[node_id]
+                finish = clock.seg_host + (end - clock.seg_sim) / clock.seg_rate
+                if finish > best:
+                    best = finish
+            if busy_mask is not None:
+                # Only stepped nodes can have flipped activity; the mask
+                # now holds every node's activity at the next window's start.
+                for node_id in touched:
+                    busy_mask[node_id] = nodes[node_id].activity == BUSY
+            if len(touched) < num_nodes:
+                if busy_mask is not None:
+                    worst = self._worst_untouched_slowdown()
+                else:
+                    # An untouched node's activity is still its window-start
+                    # value; :func:`_slowdowns` written out, since a call
+                    # per node took a 64-node window from 5.2 to 9.0 us.
+                    worst = 0.0
+                    for node_id, node in enumerate(nodes):
+                        if epochs[node_id] == epoch:
+                            continue
+                        slow = (
+                            busy_bases[node_id]
+                            if node.activity == BUSY
+                            else idle_base
+                        ) * (jitter[node_id] * factors[node_id])
+                        if stalls is not None:
+                            slow *= stalls[node_id]
+                        if slow > worst:
+                            worst = slow
+                finish = host + window / (1e9 / worst)
+                if finish > best:
+                    best = finish
+            node_cost = best - host
+            # ``breakdown.add`` and ``quantum_stats.record`` written out.
             host += node_cost + barrier_cost
-            breakdown.add(node_cost, barrier_cost)
-            quantum_stats.record(window)
+            breakdown.node_simulation += node_cost
+            breakdown.barrier += barrier_cost
+            if quantum_stats.quanta == 0:
+                quantum_stats.min_used = quantum_stats.max_used = window
+            elif window < quantum_stats.min_used:
+                quantum_stats.min_used = window
+            elif window > quantum_stats.max_used:
+                quantum_stats.max_used = window
+            quantum_stats.quanta += 1
+            quantum_stats.total_quantum_time += window
             if timeline is not None:
                 timeline.add_span(start, end, node_cost + barrier_cost)
             next_state = policy.next(q_state, np_count)
             if collector is not None:
                 if collector.config.barriers:
                     self._materialize_all()
-                    finishes = [clock.finish_host(end) for clock in self._clocks]
+                    finishes = [clock.finish_host(end) for clock in clocks]
                     slowest = max(finishes)
                     for node_id, finish in enumerate(finishes):
                         collector.barrier_wait(node_id, end, slowest - finish)
@@ -870,34 +1012,6 @@ class ClusterSimulator:
     # Event windows
     # ------------------------------------------------------------------ #
 
-    def _prepare_window(self, start: SimTime, end: SimTime) -> None:
-        """Take this window's jitter row and open a new materialization epoch.
-
-        Only plain floats are gathered here (wide clusters also keep the
-        row as an array); no node's slowdowns are combined yet.
-        :meth:`_materialize` builds a node's clock the first time the
-        window needs it, so event-free nodes advance arithmetically (the
-        subset fast-forward).
-        """
-        if self._busy_mask is not None:
-            self._q_row = row = self._feed.row()
-            self._q_jitter = row.tolist()
-        else:
-            self._q_jitter = self._feed.row_list()
-        if self._sampling:
-            self._q_busy_bases = [
-                model.busy_base_at(start) for model in self.host_models
-            ]
-        if self._stalled:
-            injector = self.injector
-            assert injector is not None
-            self._q_stalls = [
-                injector.stall_factor(node_id, start, end)
-                for node_id in range(len(self.nodes))
-            ]
-        self._epoch += 1
-        self._touched.clear()
-
     def _materialize(self, node_id: int) -> None:
         """Give *node_id* a real per-window clock (idempotent per window).
 
@@ -933,81 +1047,29 @@ class ClusterSimulator:
         for node_id in range(len(self.nodes)):
             self._materialize(node_id)
 
-    def _window_cost(self, start: SimTime, end: SimTime, host: float) -> float:
-        """Max host finish time over all nodes, minus the window's start.
-
-        Touched nodes finish on their clocks.  An untouched node finished
-        the window on one segment, at ``host + span / (1e9 / s)`` for its
-        slowdown ``s``.  Correctly rounded IEEE ``/`` and ``+`` are
-        monotone, so that expression is non-decreasing in ``s`` and its
-        maximum over the untouched nodes is the expression at their
-        largest ``s`` (:meth:`_worst_untouched_slowdown`): the result is
-        the identical double a per-node evaluation would give.
-        """
-        clocks = self._clocks
-        touched = self._touched
-        best = -math.inf
-        for node_id in touched:
-            clock = clocks[node_id]
-            finish = clock.seg_host + (end - clock.seg_sim) / clock.seg_rate
-            if finish > best:
-                best = finish
-        mask = self._busy_mask
-        if mask is not None:
-            # Only stepped nodes can have flipped activity; the mask now
-            # holds every node's activity at the next window's start.
-            nodes = self.nodes
-            for node_id in touched:
-                mask[node_id] = nodes[node_id].activity == BUSY
-        if len(touched) < len(clocks):
-            worst = self._worst_untouched_slowdown()
-            finish = host + (end - start) / (1e9 / worst)
-            if finish > best:
-                best = finish
-        return best - host
-
     def _worst_untouched_slowdown(self) -> float:
-        """The largest slowdown of a node this window did not step.
+        """The largest slowdown of a node this window did not step, for
+        wide clusters (``_ARRAY_COST_MIN_NODES``): a few numpy calls over
+        the window's jitter row and the busy mask.
 
         An untouched node's activity is still its window-start value, so
         its slowdown is the busy or idle one of :func:`_slowdowns`.
         """
         mask = self._busy_mask
         stalls = self._q_stalls
-        if mask is not None:
-            assert self._q_row is not None
-            busy, idle = _slowdowns(
-                self._q_row,
-                self._node_factors,
-                np.array(self._q_busy_bases) if self._sampling else self._busy_bases,
-                self._idle_base,
-                None if stalls is None else np.array(stalls),
-            )
-            slow = np.where(mask, busy, idle)
-            # Stepped nodes' entries are stale (their activity was
-            # refreshed); slowdowns are positive, so 0 never wins.
-            slow[self._touched] = 0.0
-            return float(slow.max())
-        # :func:`_slowdowns` written out: calling it per node took a
-        # 64-node window with one stepped node from 5.2 to 9.0 us.
-        epochs = self._epochs
-        epoch = self._epoch
-        jitter = self._q_jitter
-        factors = self._factors
-        busy_bases = self._q_busy_bases
-        idle_base = self._idle_base
-        worst = 0.0
-        for node_id, node in enumerate(self.nodes):
-            if epochs[node_id] == epoch:
-                continue
-            slow = (
-                busy_bases[node_id] if node.activity == BUSY else idle_base
-            ) * (jitter[node_id] * factors[node_id])
-            if stalls is not None:
-                slow *= stalls[node_id]
-            if slow > worst:
-                worst = slow
-        return worst
+        assert mask is not None and self._q_row is not None
+        busy, idle = _slowdowns(
+            self._q_row,
+            self._node_factors,
+            np.array(self._q_busy_bases) if self._sampling else self._busy_bases,
+            self._idle_base,
+            None if stalls is None else np.array(stalls),
+        )
+        slow = np.where(mask, busy, idle)
+        # Stepped nodes' entries are stale (their activity was refreshed);
+        # slowdowns are positive, so 0 never wins.
+        slow[self._touched] = 0.0
+        return float(slow.max())
 
     def _run_window(self, end: SimTime, times: list[Optional[SimTime]]) -> None:
         """Interleave node events in host-time order until the barrier.
@@ -1084,84 +1146,6 @@ class ClusterSimulator:
         for node_id in self._touched:
             times[node_id] = peeks[node_id]()
 
-    def _run_window_drain(
-        self, end: SimTime, times: list[Optional[SimTime]]
-    ) -> None:
-        """Step a ground-truth window by draining each active node in turn.
-
-        Eligible when the quantum is no longer than the network's minimum
-        latency (``Q <= T``, the paper's conservative bound): every frame
-        emitted inside the window is then due at or beyond the barrier, so
-        the controller holds it and nodes cannot interact mid-window.  With
-        no cross-node coupling, host-time interleaving cannot change *what*
-        happens — only the order frames reach the controller, which decides
-        the hold heap's tie-breaking sequence numbers.  So each active node
-        drains its window events sequentially (no interleave heap, no
-        per-event host keys), emissions are collected with their sender
-        host times (see :meth:`_on_emit`), and the batch is sorted into
-        ``(host time, node id, per-node order)`` — exactly the order the
-        interleaved heap pops emit events — before submission.  Results are
-        bit-identical to the interleaved window.
-        """
-        nodes = self.nodes
-        clocks = self._clocks
-        epochs = self._epochs
-        epoch = self._epoch
-        touched_append = self._touched.append
-        jitter = self._q_jitter
-        factors = self._factors
-        busy_bases = self._q_busy_bases
-        idle_base = self._idle_base
-        stalls = self._q_stalls
-        window_start = self._window[0]
-        host_start = self._host_window_start
-        pending: list[tuple[float, int, int, Packet]] = []
-        self._drain_pending = pending
-        handled = 0
-        for node_id, event_time in enumerate(times):
-            if event_time is None or event_time >= end:
-                continue
-            node = nodes[node_id]
-            if epochs[node_id] != epoch:
-                # :meth:`_materialize` written out with this window's
-                # constants hoisted: a ground-truth window materializes
-                # most nodes, and the extra call per node cost 1-5% of a
-                # 64-node ground-truth run.
-                epochs[node_id] = epoch
-                touched_append(node_id)
-                busy, idle = _slowdowns(
-                    jitter[node_id],
-                    factors[node_id],
-                    busy_bases[node_id],
-                    idle_base,
-                    None if stalls is None else stalls[node_id],
-                )
-                clock = clocks[node_id]
-                clock.busy_rate = busy_rate = 1e9 / busy
-                clock.idle_rate = idle_rate = 1e9 / idle
-                clock.seg_sim = window_start
-                clock.seg_host = host_start
-                clock.seg_rate = (
-                    busy_rate if node.activity == BUSY else idle_rate
-                )
-            count, next_time = node.drain_window(end)
-            handled += count
-            # In a drain window a node's queue only changes while it is
-            # being drained (nothing is delivered mid-window), so the
-            # drain's final head time is exactly a fresh peek.
-            times[node_id] = next_time
-        self._drain_pending = None
-        if pending:
-            if len(pending) > 1:
-                # Tuple order is (host time, node id, order): the unique
-                # order field makes the sort total without ever comparing
-                # packets, and equals per-node emission order, which a
-                # stable sort must preserve for same-key entries anyway.
-                pending.sort()
-            self.controller.submit_held_batch(pending)
-        self.perf.events += handled
-        self.perf.drain_windows += 1
-
     # ------------------------------------------------------------------ #
     # Fast-forward accelerator
     # ------------------------------------------------------------------ #
@@ -1183,10 +1167,19 @@ class ClusterSimulator:
         skipped quantum at a single rate.  Jitter comes through the shared
         feed as one ``(N, count)`` block per chunk.  The homogeneous case
         (no sampling schedule, no host stalls) folds each node's slowdowns
-        into one coefficient times its jitter row; sampled or stalled runs
-        apply the per-node slowdown formula.  Either way the per-element
-        float operations match per-quantum draws exactly.
+        into one coefficient times its jitter row and takes the max over
+        nodes one column block at a time (``_FF_BLOCK_ELEMENTS``); sampled
+        or stalled runs apply the per-node slowdown formula.  Either way
+        the per-element float operations match per-quantum draws exactly.
+
+        :meth:`~repro.core.quantum.QuantumPolicy.idle_chunk` returns only
+        windows that fit the span, so none fits once the span left is
+        shorter than the current window: the loop stops there without
+        asking for an empty chunk.
         """
+        policy = self.policy
+        chunk = self.config.chunk
+        controller = self.controller
         sanitizer = self.sanitizer
         injector = self.injector
         collector = self.collector
@@ -1195,33 +1188,33 @@ class ClusterSimulator:
         activities = [node.activity for node in self.nodes]
         coeff: Optional[np.ndarray] = None
         if not (self._sampling or stalled):
-            busy_mask = np.array([activity == BUSY for activity in activities])
-            coeff = (
-                np.where(busy_mask, self._busy_bases, self._idle_bases)
-                * self._node_factors
-            )
-        while True:
-            lengths, next_state = self.policy.idle_chunk(
-                q_state, horizon - now, self.config.chunk
-            )
+            busy_base = self.config.host_params.busy_slowdown
+            idle_base = self._idle_base
+            # slowdown = (base * node_factor) * jitter, elementwise — the
+            # same products per-quantum draws would compute.
+            coeff = np.array(
+                [
+                    (busy_base if activity == BUSY else idle_base) * factor
+                    for activity, factor in zip(activities, self._factors)
+                ]
+            )[:, None]
+        block = max(1, _FF_BLOCK_ELEMENTS // len(activities))
+        while horizon - now >= policy.window(q_state):
+            lengths, next_state = policy.idle_chunk(q_state, horizon - now, chunk)
             count = len(lengths)
-            if count == 0:
-                return now, host, q_state
-            starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
+            if count == 0:  # ``config.chunk == 0`` allows no windows
+                break
             jitter = self._feed.rows(count)
             if coeff is not None:
-                # slowdown = (base * node_factor) * jitter, elementwise —
-                # the same (commutative-exact) products per-quantum draws
-                # would compute.  Accumulated node by node over the feed's
-                # contiguous per-node rows: small cache-resident
-                # temporaries instead of one (N, count) product matrix,
-                # and float max is order-insensitive.
-                max_slow = jitter[0] * coeff[0]
-                for node_id in range(1, len(coeff)):
-                    np.maximum(
-                        max_slow, jitter[node_id] * coeff[node_id], out=max_slow
+                # Float max is order-insensitive; the column blocks bound
+                # the product temporary.
+                max_slow = np.empty(count)
+                for first in range(0, count, block):
+                    (jitter[:, first : first + block] * coeff).max(
+                        axis=0, out=max_slow[first : first + block]
                     )
             else:
+                starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
                 ends = starts + lengths if stalled else None
                 models = self.host_models
                 max_slow = models[0].slowdowns_from(
@@ -1253,10 +1246,10 @@ class ClusterSimulator:
             host += node_cost + barrier_total
             breakdown.add(node_cost, barrier_total)
             quantum_stats.record_lengths(lengths)
-            self.controller.note_idle_quanta(count)
+            controller.note_idle_quanta(count)
             if sanitizer is not None:
                 sanitizer.on_fast_forward(
-                    now, span, count, horizon, self.controller.next_held_time()
+                    now, span, count, horizon, controller.next_held_time()
                 )
             if collector is not None:
                 collector.fast_forward(now, span, count, node_cost, barrier_total)
@@ -1266,6 +1259,7 @@ class ClusterSimulator:
             perf.ff_quanta += count
             now += span
             q_state = next_state
+        return now, host, q_state
 
     # ------------------------------------------------------------------ #
     # Termination

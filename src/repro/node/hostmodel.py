@@ -118,6 +118,8 @@ class HostExecutionModel:
             needed -= grab
         if len(parts) == 1:
             return parts[0]
+        if not parts:
+            return np.empty(0)
         return np.concatenate(parts)
 
     def take_jitter(self, count: int) -> np.ndarray:

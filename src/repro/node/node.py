@@ -181,12 +181,12 @@ class SimulatedNode:
 
         Semantically identical to ``while peek_time() < end:
         pop_and_handle()``, with the peek/pop pair fused into a single
-        heap access per event — this is the inner loop of the driver's
-        ground-truth drain stepper.  The loop itself lives on the queue
+        heap access per event.  The loop itself lives on the queue
         (:meth:`repro.engine.events.EventQueue.drain`) so each backend
-        runs it against its own heap representation.  Returns ``(events
-        handled, next event time)``, the second element being exactly
-        what ``peek_time()`` would return afterwards.
+        runs it against its own heap representation; the serial driver's
+        drain window calls that directly, and :mod:`repro.shard` calls
+        this.  Returns ``(events handled, next event time)``, the second
+        element being exactly what ``peek_time()`` would return afterwards.
         """
         return self.queue.drain(end, self)
 

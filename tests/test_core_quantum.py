@@ -14,7 +14,7 @@ from repro.core import (
     QuantumStats,
     ThresholdAdaptivePolicy,
 )
-from repro.core.quantum import suggested_dec
+from repro.core.quantum import QuantumPolicy, suggested_dec
 from repro.engine.units import MICROSECOND
 
 
@@ -159,6 +159,63 @@ class TestAblationPolicies:
             AimdQuantumPolicy(US, 1000 * US, step=0)
         with pytest.raises(ValueError):
             ThresholdAdaptivePolicy(US, 1000 * US, threshold=0)
+
+
+IDLE_CHUNK_POLICIES = {
+    "fixed": lambda: FixedQuantumPolicy(10 * US),
+    "dyn 1": lambda: AdaptiveQuantumPolicy.paper_dyn1(US, 1000 * US),
+    "dyn 2": lambda: AdaptiveQuantumPolicy.paper_dyn2(US, 1000 * US),
+    "aimd": lambda: AimdQuantumPolicy(US, 1000 * US),
+    "threshold": lambda: ThresholdAdaptivePolicy(US, 1000 * US),
+}
+
+
+class TestIdleChunkContract:
+    """What the cluster's fast-forward relies on, for every policy's
+    ``idle_chunk`` and for the base class's iterative one.
+
+    The driver stops a span as soon as the span left is shorter than the
+    current window, without asking for a chunk; that is only sound if
+    such a call returns no windows.  (No equality with iterating
+    ``next(q, 0)``: the closed form ``q * inc**k`` rounds differently.)
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(IDLE_CHUNK_POLICIES)),
+        iterative=st.booleans(),
+        position=st.floats(min_value=0.0, max_value=1.0),
+        span=st.integers(min_value=0, max_value=3_000 * US),
+        near=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.integers(min_value=-2, max_value=2),
+            ),
+        ),
+        max_windows=st.integers(min_value=0, max_value=300),
+    )
+    def test_property_windows_fit_the_span(
+        self, name, iterative, position, span, near, max_windows
+    ):
+        policy = IDLE_CHUNK_POLICIES[name]()
+        low, high = policy.min_quantum, policy.max_quantum
+        q = policy.clamp(low + position * (high - low))
+        if near is not None:
+            # Spans within a few ns of the first k idle windows' total.
+            k, offset = near
+            state, total = q, 0
+            for _ in range(k):
+                total += policy.window(state)
+                state = policy.next(state, 0)
+            span = max(0, total + offset)
+        chunk = QuantumPolicy.idle_chunk if iterative else type(policy).idle_chunk
+        lengths, _ = chunk(policy, q, span, max_windows)
+        if span < policy.window(q):
+            assert len(lengths) == 0
+        assert all(length >= 1 for length in lengths.tolist())
+        assert int(lengths.sum()) <= span
+        assert len(lengths) <= max_windows
 
 
 class TestSuggestedDec:

@@ -100,6 +100,15 @@ class TestHostExecutionModel:
         with pytest.raises(ValueError):
             self.make().slowdown("sleeping")
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_zero_count_draws_nothing(self, sigma):
+        model = self.make(seed=5, jitter_sigma=sigma)
+        assert model.take_jitter(0).shape == (0,)
+        assert model.slowdowns(0, BUSY).shape == (0,)
+        # An empty draw leaves the stream where it was.
+        fresh = self.make(seed=5, jitter_sigma=sigma)
+        assert np.array_equal(model.slowdowns(3, IDLE), fresh.slowdowns(3, IDLE))
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             self.make().slowdowns(-1, BUSY)
